@@ -168,11 +168,11 @@ std::vector<std::size_t> all_indices(std::size_t n) {
 }
 
 // Default streaming adapter: buffers absorbed updates and finalizes through
-// the batch shard_aggregate(). The buffer's order is the absorb order —
-// exactly the per-shard span order plan_shards produces for the same
-// acceptance sequence — so the summary is trivially bit-identical to the
-// barriered edge pass. Strategies whose statistic needs the whole shard at
-// once (median, trimmed mean, Krum) stream through this adapter.
+// the batch shard_aggregate(). The buffer's order is the absorb order, so
+// the summary is trivially bit-identical to shard_aggregate() over the
+// shard's updates in that order. Strategies whose statistic needs the
+// whole shard at once (median, trimmed mean, Krum) stream through this
+// adapter.
 class BufferingShardAccumulator final : public ShardAccumulator {
  public:
   BufferingShardAccumulator(RobustAggregator& owner, const nn::FlatParams& global)

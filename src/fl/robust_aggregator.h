@@ -34,6 +34,11 @@
 // aggregate() is the flat convenience over the two phases (one shard =
 // the whole cohort) and produces exactly the pre-redesign results.
 //
+// The server aggregates only through begin_shard() accumulators, driven by
+// ShardedAggregationSession (fl/shard.h); shard_aggregate() — which the
+// buffering accumulator finalizes through — and the flat aggregate() are
+// also the reference the accumulators are tested against.
+//
 // All strategies are *layer-aware*: `RobustConfig::excluded_tensors` names
 // layer-index entry positions (normally the DINAR-obfuscated sensitive
 // layer) that are excluded from every distance / norm / outlier
@@ -161,8 +166,8 @@ struct RobustAggregateResult {
 // once) emits the same ShardSummary the batch shard_aggregate() would have
 // produced for the absorbed updates in absorb order — that equivalence is
 // the pipeline's bit-identity contract, enforced by the determinism
-// gauntlet. finalize() after zero absorbs returns the empty summary
-// (mirrors an empty shard in plan_shards, which combine() skips).
+// gauntlet. finalize() after zero absorbs returns the empty summary (a
+// shard with no clients this round, which combine() skips).
 //
 // absorb() is called from the commit path (one thread, ascending client-id
 // order) and must run its loops inline rather than fanning out across the

@@ -27,16 +27,22 @@ FlServer::FlServer(nn::FlatParams initial_params, std::unique_ptr<ServerDefense>
 
 void FlServer::set_aggregator(std::unique_ptr<RobustAggregator> aggregator) {
   DINAR_CHECK(aggregator != nullptr, "aggregator must not be null");
+  DINAR_CHECK(session_ == nullptr,
+              "set_aggregator while an aggregation session is open");
   aggregator_ = std::move(aggregator);
   aggregator_->set_execution_context(exec_);
 }
 
 void FlServer::set_execution_context(const ExecutionContext* exec) {
+  DINAR_CHECK(session_ == nullptr,
+              "set_execution_context while an aggregation session is open");
   exec_ = exec;
   if (aggregator_ != nullptr) aggregator_->set_execution_context(exec_);
 }
 
 void FlServer::set_shards(const ShardConfig& config) {
+  DINAR_CHECK(session_ == nullptr,
+              "set_shards while an aggregation session is open");
   DINAR_CHECK(config.num_shards >= 1, "shard.num_shards must be >= 1, got "
                                           << config.num_shards);
   shard_config_ = config;
@@ -56,8 +62,6 @@ GlobalModelMsg FlServer::broadcast() const {
 
 void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
   DINAR_CHECK(!updates.empty(), "aggregate called with no updates");
-  ScopedTimer timing(agg_timer_);
-
   const bool pre_weighted = updates.front().pre_weighted;
   for (const ModelUpdateMsg& u : updates) {
     DINAR_CHECK(u.pre_weighted == pre_weighted,
@@ -67,7 +71,10 @@ void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
     DINAR_CHECK(u.params.same_layout(global_),
                 "update from client " << u.client_id << " has wrong structure");
   }
-  apply_aggregate(updates);
+  begin_aggregation();
+  const AggregationAbortGuard guard(*this);
+  for (const ModelUpdateMsg& u : updates) absorb_validated(u);
+  finalize_aggregation();
 }
 
 UpdateVerdict FlServer::validate_update(const ModelUpdateMsg& update,
@@ -126,33 +133,28 @@ UpdateVerdict FlServer::validate_update(const ModelUpdateMsg& update,
 AggregateOutcome FlServer::try_aggregate(std::span<const ModelUpdateMsg> updates,
                                          std::size_t min_valid) {
   AggregateOutcome outcome;
-  std::vector<ModelUpdateMsg> valid;
   std::unordered_set<int> accepted_ids;
   std::optional<bool> weighting;
+  begin_aggregation();
+  const AggregationAbortGuard guard(*this);
   for (const ModelUpdateMsg& u : updates) {
     const UpdateVerdict verdict = validate_update(u, accepted_ids, weighting);
     if (verdict.accepted) {
       accepted_ids.insert(u.client_id);
       weighting = u.pre_weighted;
       outcome.accepted.push_back(u.client_id);
-      valid.push_back(u);
+      absorb_validated(u);
     } else {
       outcome.quarantined.push_back({u.client_id, verdict.reason, verdict.detail});
     }
   }
-  if (valid.size() >= std::max<std::size_t>(1, min_valid)) {
-    outcome.aggregator_flags = aggregate_validated(valid);
+  // No quorum: the guard abandons the session and the round stays put.
+  if (outcome.accepted.size() >= std::max<std::size_t>(1, min_valid)) {
+    outcome.aggregator_flags = finalize_aggregation();
     outcome.shards = last_shard_stats_;
     outcome.aggregated = true;
   }
   return outcome;
-}
-
-std::vector<AggregatorFlag> FlServer::aggregate_validated(
-    std::span<const ModelUpdateMsg> updates) {
-  DINAR_CHECK(!updates.empty(), "aggregate_validated called with no updates");
-  ScopedTimer timing(agg_timer_);
-  return apply_aggregate(updates);
 }
 
 void FlServer::begin_aggregation() {
@@ -170,13 +172,14 @@ void FlServer::absorb_validated(const ModelUpdateMsg& update) {
 
 std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
   DINAR_CHECK(session_ != nullptr, "finalize_aggregation with no open session");
-  DINAR_CHECK(session_->absorbed() > 0,
+  // Close the session before anything can throw: a refused or failed
+  // finalize (nothing absorbed, every shard empty) leaves it closed and the
+  // round un-advanced for carry-forward.
+  const std::unique_ptr<ShardedAggregationSession> session = std::move(session_);
+  DINAR_CHECK(session->absorbed() > 0,
               "finalize_aggregation with no absorbed updates; use "
               "abort_aggregation + carry_forward for an empty round");
   ScopedTimer timing(agg_timer_);
-  // Close the session before mutating server state: a combine() throw
-  // (every shard empty) must leave the round un-advanced for carry-forward.
-  const std::unique_ptr<ShardedAggregationSession> session = std::move(session_);
   HierarchicalResult h = session->finalize();
   return commit_aggregate(std::move(h));
 }
@@ -190,13 +193,6 @@ void FlServer::restore(std::int64_t round, nn::FlatParams params) {
   session_.reset();
   global_ = std::move(params);
   round_ = round;
-}
-
-std::vector<AggregatorFlag> FlServer::apply_aggregate(
-    std::span<const ModelUpdateMsg> updates) {
-  HierarchicalResult h =
-      hierarchical_aggregate(*aggregator_, updates, global_, shard_config_, exec_);
-  return commit_aggregate(std::move(h));
 }
 
 std::vector<AggregatorFlag> FlServer::commit_aggregate(HierarchicalResult h) {

@@ -1,6 +1,6 @@
 // FL server: FedAvg aggregation with a pluggable server-side defense.
 //
-// Two aggregation paths:
+// Two validation policies in front of the one aggregation mechanism below:
 //  - aggregate(): the strict seed path — any malformed update throws and
 //    aborts the round (used by trusted in-process experiments);
 //  - validate_update() / try_aggregate() / carry_forward(): the hardened
@@ -18,19 +18,15 @@
 // influence of adversarial but well-formed updates and report per-client
 // flags that the round protocol surfaces in RoundOutcome.
 //
-// Both paths route through the hierarchical aggregation tree
-// (set_shards, DESIGN.md §12): the cohort is partitioned into client
-// shards, each shard runs the robust strategy independently (in parallel
-// under an execution context), and a root combiner merges the shard
-// summaries. The default single-shard tree is bit-identical to flat
-// aggregation.
-//
-// The streaming round engine (DESIGN.md §13) drives the same tree
-// incrementally through the session API — begin_aggregation() /
-// absorb_validated() / finalize_aggregation() — so each validated update
-// folds into its shard the moment its exchange commits instead of waiting
-// for the round barrier. finalize_aggregation() is bit-identical to
-// aggregate_validated() over the same updates in absorb order.
+// There is one aggregation mechanism: the streaming session over the
+// hierarchical aggregation tree (set_shards, DESIGN.md §12-§13) —
+// begin_aggregation() / absorb_validated()* / finalize_aggregation().
+// Each update folds into its client shard as it is accepted; finalize
+// closes the shards (in parallel under an execution context) and a root
+// combiner merges the shard summaries. The default single-shard tree is
+// bit-identical to flat aggregation. aggregate() and try_aggregate() are
+// that same sequence over a whole cohort; the streaming round engine
+// drives it one commit at a time, while later exchanges are in flight.
 #pragma once
 
 #include <memory>
@@ -107,9 +103,11 @@ class FlServer {
   //   global = sum_i w_i * theta_i / sum_i w_i
   // where w_i is the client's sample count, and theta_i arrives either raw
   // or pre-weighted (secure aggregation). A round must not mix the two
-  // conventions. Runs the server defense afterwards and advances the round.
-  // Spans only — the PR 8 vector overload shims are gone; wrap braced
-  // lists in a named vector.
+  // conventions. The strict checks all run before the session opens (they
+  // are looser than validate_update: no round or duplicate-client check),
+  // then every update is absorbed in span order and the session finalized.
+  // Runs the server defense afterwards and advances the round. Spans only:
+  // wrap braced lists in a named vector.
   void aggregate(std::span<const ModelUpdateMsg> updates);
 
   // -- hardened path -------------------------------------------------------
@@ -121,26 +119,21 @@ class FlServer {
                                 const std::unordered_set<int>& accepted_ids,
                                 std::optional<bool> weighting) const;
 
-  // Validates every update, quarantining invalid ones; aggregates and
-  // advances the round iff at least max(1, min_valid) updates survive.
+  // Validates every update, absorbing the accepted ones and quarantining
+  // the rest; finalizes and advances the round iff at least
+  // max(1, min_valid) updates survive, and aborts the session otherwise.
   // Spans only (see aggregate()).
   AggregateOutcome try_aggregate(std::span<const ModelUpdateMsg> updates,
                                  std::size_t min_valid);
 
-  // Aggregates updates the caller has already validated (they must all
-  // pass validate_update against the current round). Advances the round.
-  // Returns the aggregator's per-client flags (empty under plain FedAvg).
-  std::vector<AggregatorFlag> aggregate_validated(
-      std::span<const ModelUpdateMsg> updates);
-
-  // -- streaming session (event-driven round pipeline, DESIGN.md §13) ------
+  // -- aggregation session (DESIGN.md §13) ---------------------------------
   // Opens an incremental aggregation over the current global model and
   // shard configuration: one ShardAccumulator per shard. At most one
   // session may be open, and the global model / shards / aggregator /
-  // execution context must not change while it is. validate_update()
-  // still checks against the current round, which only advances at
-  // finalize — so the validate-then-absorb commit sequence sees exactly
-  // the state the barriered validate-then-aggregate sequence would.
+  // execution context must not change while it is (the setters refuse).
+  // validate_update() still checks against the current round, which only
+  // advances at finalize. Pair every begin with an AggregationAbortGuard
+  // so a throw before finalize cannot leave the session open.
   void begin_aggregation();
 
   // Folds one update the caller has already validated (validate_update
@@ -150,10 +143,10 @@ class FlServer {
   void absorb_validated(const ModelUpdateMsg& update);
 
   // Closes the shard accumulators, runs the root combine, the defense, and
-  // advances the round — bit-identical to aggregate_validated() over the
-  // absorbed updates in absorb order. Throws (leaving the session closed
-  // and the round NOT advanced) when every shard stayed empty; requires at
-  // least one absorb. Returns the aggregator's per-client flags.
+  // advances the round. Throws (leaving the session closed and the round
+  // NOT advanced) when every shard stayed empty; requires at least one
+  // absorb. Returns the aggregator's per-client flags (empty under plain
+  // FedAvg).
   std::vector<AggregatorFlag> finalize_aggregation();
 
   // Abandons an open session without advancing the round (the no-quorum /
@@ -165,6 +158,8 @@ class FlServer {
   // Installs a Byzantine-robust aggregation strategy; the default is the
   // seed's plain FedAvg. Takes effect from the next aggregation. The
   // server's execution context (if set) is applied to the new aggregator.
+  // This setter and the two below throw while a session is open: the
+  // session and its accumulators hold the current ones by reference.
   void set_aggregator(std::unique_ptr<RobustAggregator> aggregator);
   const RobustAggregator& aggregator() const { return *aggregator_; }
 
@@ -184,9 +179,9 @@ class FlServer {
     return last_shard_stats_;
   }
 
-  // Wall-clock breakdown of the most recent aggregation (batch or
-  // streaming). Timing only — never persisted or compared; feeds the
-  // per-phase columns in RoundOutcome::timings.
+  // Wall-clock breakdown of the most recent aggregation. Timing only —
+  // never persisted or compared; feeds the per-phase columns in
+  // RoundOutcome::timings.
   struct AggregateTimings {
     double shard_seconds = 0.0;    // sum over shards: edge absorb+finalize
     double combine_seconds = 0.0;  // root merge
@@ -204,16 +199,14 @@ class FlServer {
   // Checkpoint resume: installs a saved global model and round counter.
   void restore(std::int64_t round, nn::FlatParams params);
 
-  // Wall-clock spent inside aggregate() (Table 3's server-side metric).
+  // Wall-clock spent absorbing and finalizing updates, summed over every
+  // aggregation (Table 3's server-side metric).
   const CumulativeTimer& aggregation_timer() const { return agg_timer_; }
   ServerDefense& defense() { return *defense_; }
 
  private:
-  // Shared aggregation core; assumes updates are structurally valid.
-  // Returns the aggregator's per-client flags.
-  std::vector<AggregatorFlag> apply_aggregate(std::span<const ModelUpdateMsg> updates);
-  // Installs an aggregation tree result (batch or streaming): defense,
-  // global model, stats, timings, round advance.
+  // Installs a finalized session's result: defense, global model, stats,
+  // timings, round advance.
   std::vector<AggregatorFlag> commit_aggregate(HierarchicalResult h);
 
   nn::FlatParams global_;
@@ -227,6 +220,22 @@ class FlServer {
   std::unique_ptr<ShardedAggregationSession> session_;
   std::int64_t round_ = 0;
   CumulativeTimer agg_timer_;
+};
+
+// Scope guard for the begin_aggregation() -> finalize_aggregation()
+// window: abandons the session when the scope exits, so a throw in
+// between (an exchange task, an absorb, the root combine) leaves the
+// server ready for the next begin. A no-op once finalize_aggregation() or
+// carry_forward() has closed the session.
+class AggregationAbortGuard {
+ public:
+  explicit AggregationAbortGuard(FlServer& server) : server_(server) {}
+  ~AggregationAbortGuard() { server_.abort_aggregation(); }
+  AggregationAbortGuard(const AggregationAbortGuard&) = delete;
+  AggregationAbortGuard& operator=(const AggregationAbortGuard&) = delete;
+
+ private:
+  FlServer& server_;
 };
 
 }  // namespace dinar::fl

@@ -331,8 +331,11 @@ const RoundOutcome& FederatedSimulation::run_round() {
 
   // The streaming engine opens the shard accumulators up front so every
   // accepted update can fold in at commit time; validate_update still
-  // checks the current round, which only advances at finalize.
+  // checks the current round, which only advances at finalize. A throw
+  // before finalize (an exchange task, a commit) must not leave the
+  // session open, or every later round's begin would fail.
   server_->begin_aggregation();
+  const AggregationAbortGuard abort_guard(*server_);
 
   std::vector<ModelUpdateMsg> accepted;
   std::unordered_set<int> accepted_ids;
@@ -519,7 +522,7 @@ const RoundOutcome& FederatedSimulation::run_round() {
   if (out.quorum_met) {
     // Every accepted update was absorbed at commit time; finalize closes
     // the shard accumulators and runs the root combine — bit-identical to
-    // batch aggregation over the same updates in absorb order
+    // per-shard shard_aggregate over the same updates in absorb order
     // (ShardAccumulator's contract).
     out.aggregator_flags = server_->finalize_aggregation();
     out.shards = server_->last_shard_stats();

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -408,6 +409,60 @@ TEST(PipelineSimTest, FedAvgStreamingAccumulatorMatchesAcrossThreadCounts) {
     return state_of(sim);
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// Client defense whose before_upload throws the first time any client
+// holding the shared flag reaches it: the exchange task fails mid-fan-out
+// with the round's aggregation session already open.
+class ThrowOnceDefense final : public ClientDefense {
+ public:
+  explicit ThrowOnceDefense(std::shared_ptr<std::atomic<bool>> armed)
+      : armed_(std::move(armed)) {}
+  std::string name() const override { return "throw-once"; }
+  nn::FlatParams before_upload(nn::Model& /*model*/, nn::FlatParams params,
+                               std::int64_t /*num_samples*/,
+                               bool& /*pre_weighted*/) override {
+    if (armed_ != nullptr && armed_->exchange(false))
+      throw std::runtime_error("injected upload failure");
+    return params;
+  }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> armed_;
+};
+
+TEST(PipelineSimTest, ThrowingRoundClosesTheSessionSoTheNextRoundRuns) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto armed = std::make_shared<std::atomic<bool>>(true);
+    DefenseBundle bundle;
+    bundle.name = "throw-once";
+    bundle.make_client = [armed](int id) {
+      return std::make_unique<ThrowOnceDefense>(id == 3 ? armed : nullptr);
+    };
+    Rng rng(23);
+    data::Dataset full = make_easy_dataset(192, rng);
+    data::FlSplitConfig split_cfg;
+    split_cfg.num_clients = 6;
+    SimulationConfig cfg;
+    cfg.rounds = 2;
+    cfg.train = TrainConfig{1, 16};
+    cfg.learning_rate = 5e-2;
+    cfg.seed = 77;
+    cfg.shard.num_shards = 3;
+    cfg.exec.threads = threads;
+    FederatedSimulation sim(tiny_mlp_factory(2, 2),
+                            data::make_fl_split(full, split_cfg, rng), cfg, bundle);
+
+    EXPECT_THROW(sim.run_round(), std::runtime_error);
+    EXPECT_FALSE(sim.server().aggregation_open());
+    EXPECT_EQ(sim.server().round(), 0);
+
+    const RoundOutcome& out = sim.run_round();
+    EXPECT_TRUE(out.quorum_met);
+    EXPECT_EQ(out.accepted.size(), 6u);
+    EXPECT_EQ(sim.server().round(), 1);
+  }
 }
 
 TEST(PipelineSimTest, EnvPinStreamIsAcceptedAndStaleBarrierPinThrows) {

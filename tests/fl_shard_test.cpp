@@ -1,5 +1,8 @@
 // Sharded hierarchical aggregation: the two-phase aggregator API, the
-// shard planner, and the tree's determinism / robustness contracts.
+// streaming session the server aggregates through, and the tree's
+// determinism / robustness contracts. Every tree below runs on
+// ShardedAggregationSession, the production path; the batch
+// shard_aggregate + combine pair serves as the reference oracle.
 //
 // The bit-identity tests use a "dyadic" cohort: every parameter, delta and
 // weight is a small multiple of a power of two, so every float operation
@@ -15,6 +18,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,24 +102,31 @@ std::vector<int> dyadic_cohort() {
   return ids;
 }
 
-// Runs the tree with `threads` pool threads (0 = no execution context at
-// all: every loop sequential on the caller).
+ShardConfig shard_config(std::size_t shards) {
+  ShardConfig cfg;
+  cfg.num_shards = shards;
+  cfg.assignment_seed = kSeed;
+  return cfg;
+}
+
+// Runs the tree the way the server does — one ShardedAggregationSession,
+// every update absorbed in input (arrival) order, then finalize() — with
+// `threads` pool threads (0 = no execution context at all: every loop
+// sequential on the caller).
 HierarchicalResult run_tree(RobustAggregator& agg,
                             const std::vector<ModelUpdateMsg>& updates,
                             const nn::FlatParams& global, std::size_t shards,
                             unsigned threads) {
-  ShardConfig cfg;
-  cfg.num_shards = shards;
-  cfg.assignment_seed = kSeed;
-  if (threads == 0) {
-    agg.set_execution_context(nullptr);
-    return hierarchical_aggregate(agg, updates, global, cfg, nullptr);
+  std::unique_ptr<ExecutionContext> exec;
+  if (threads > 0) {
+    ExecConfig ec;
+    ec.threads = threads;
+    exec = std::make_unique<ExecutionContext>(ec);
   }
-  ExecConfig ec;
-  ec.threads = threads;
-  ExecutionContext exec(ec);
-  agg.set_execution_context(&exec);
-  HierarchicalResult out = hierarchical_aggregate(agg, updates, global, cfg, &exec);
+  agg.set_execution_context(exec.get());
+  ShardedAggregationSession session(agg, global, shard_config(shards), exec.get());
+  for (const ModelUpdateMsg& u : updates) session.absorb(u);
+  HierarchicalResult out = session.finalize();
   agg.set_execution_context(nullptr);
   return out;
 }
@@ -187,70 +198,106 @@ TEST(ShardAssignmentTest, AssignmentIsStableBoundedAndSeedSensitive) {
   EXPECT_EQ(shard_of(1234, one), 0u);
 }
 
-// --------------------------------------------------------- shard planner --
+// ------------------------------------------------------ streaming session --
 
-TEST(ShardPlanTest, GroupedInputIsSlicedWithoutCopying) {
-  ShardConfig cfg;
-  cfg.num_shards = 4;
-  cfg.assignment_seed = kSeed;
-  const nn::FlatParams global = two_tensor_params();
-  std::vector<ModelUpdateMsg> updates;
-  for (int id = 0; id < 12; ++id) updates.push_back(update_for(id, global));
-  std::stable_sort(updates.begin(), updates.end(),
-                   [&](const ModelUpdateMsg& a, const ModelUpdateMsg& b) {
-                     return shard_of(a.client_id, cfg) < shard_of(b.client_id, cfg);
-                   });
+struct OracleResult {
+  RobustAggregateResult result;
+  std::vector<ShardStats> shards;
+};
 
-  std::vector<ModelUpdateMsg> scratch;
-  const auto plan = plan_shards(updates, cfg, scratch);
-  ASSERT_EQ(plan.size(), cfg.num_shards);
-  EXPECT_TRUE(scratch.empty()) << "grouped input must take the zero-copy path";
-
-  std::size_t covered = 0;
-  for (std::uint32_t s = 0; s < plan.size(); ++s) {
-    covered += plan[s].size();
-    for (const ModelUpdateMsg& u : plan[s]) {
-      EXPECT_EQ(shard_of(u.client_id, cfg), s);
-      EXPECT_GE(&u, updates.data());
-      EXPECT_LT(&u, updates.data() + updates.size());
-    }
+// The oracle for one session: per shard, the batch shard_aggregate over
+// that shard's updates in arrival order (sequential, no execution
+// context), then the root combine in shard-id order.
+OracleResult per_shard_oracle(RobustAggregator& agg,
+                              const std::vector<ModelUpdateMsg>& arrivals,
+                              const nn::FlatParams& global, const ShardConfig& cfg) {
+  agg.set_execution_context(nullptr);
+  std::vector<ShardSummary> summaries(cfg.num_shards);
+  for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
+    std::vector<ModelUpdateMsg> members;
+    for (const ModelUpdateMsg& u : arrivals)
+      if (shard_of(u.client_id, cfg) == s) members.push_back(u);
+    if (!members.empty()) summaries[s] = agg.shard_aggregate(members, global);
+    summaries[s].stats.shard_id = s;
   }
-  EXPECT_EQ(covered, updates.size());
+  OracleResult out;
+  out.result = agg.combine(summaries, global);
+  for (const ShardSummary& summary : summaries) out.shards.push_back(summary.stats);
+  return out;
 }
 
-TEST(ShardPlanTest, InterleavedInputGathersPreservingWithinShardOrder) {
-  ShardConfig cfg;
-  cfg.num_shards = 2;
-  cfg.assignment_seed = kSeed;
-  // Hunt down an interleaved id sequence: shard0, shard1, shard0.
-  int a = -1, b = -1, c = -1;
-  for (int id = 0; id < 1000 && c < 0; ++id) {
-    const std::uint32_t s = shard_of(id, cfg);
-    if (s == 0 && a < 0) a = id;
-    else if (s == 1 && a >= 0 && b < 0) b = id;
-    else if (s == 0 && b >= 0) c = id;
-  }
-  ASSERT_GE(c, 0);
-
+TEST(ShardSessionTest, InterleavedArrivalsMatchThePerShardOracleBitwise) {
   const nn::FlatParams global = two_tensor_params();
-  std::vector<ModelUpdateMsg> updates = {update_for(a, global),
-                                         update_for(b, global),
-                                         update_for(c, global)};
-  std::vector<ModelUpdateMsg> scratch;
-  const auto plan = plan_shards(updates, cfg, scratch);
-  ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(scratch.size(), updates.size())
-      << "interleaved input must be gathered";
-  ASSERT_EQ(plan[0].size(), 2u);
-  ASSERT_EQ(plan[1].size(), 1u);
-  EXPECT_EQ(plan[0][0].client_id, a);
-  EXPECT_EQ(plan[0][1].client_id, c) << "input order preserved within a shard";
-  EXPECT_EQ(plan[1][0].client_id, b);
-  for (const auto& span : plan)
-    for (const ModelUpdateMsg& u : span) {
-      EXPECT_GE(&u, scratch.data());
-      EXPECT_LT(&u, scratch.data() + scratch.size());
+  // 23 clients arriving in the order 0, 7, 14, ... (mod 23), so every
+  // multi-shard tree sees its shards interleaved. Three attackers (ids 5,
+  // 13, 21) give the robust strategies something to flag, and coordinate 3
+  // is -0.0f in every update, so any sign the tree loses shows bitwise.
+  constexpr int kClients = 23;
+  std::vector<ModelUpdateMsg> arrivals;
+  for (int k = 0; k < kClients; ++k) {
+    const int id = (k * 7) % kClients;
+    nn::FlatParams p = global;
+    std::span<float> v = p.as_span();
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      const int step = (id * 5 + static_cast<int>(j) * 3) % 13 - 6;
+      v[j] += id % 8 == 5 ? 50.0f : 0.05f * static_cast<float>(step);
     }
+    v[3] = -0.0f;
+    arrivals.push_back(update_for(id, p, 1 + id % 3));
+  }
+
+  for (const std::string& name : robust_aggregator_names()) {
+    RobustConfig rc;
+    rc.method = name;
+    rc.assumed_byzantine = 1;
+    auto agg = make_robust_aggregator(rc);
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
+      const ShardConfig cfg = shard_config(shards);
+      // Interleaved: some shard's run of arrivals is broken by another's.
+      bool interleaved = false;
+      std::vector<bool> seen(shards, false);
+      for (std::size_t k = 0; k < arrivals.size(); ++k) {
+        const std::uint32_t s = shard_of(arrivals[k].client_id, cfg);
+        interleaved |=
+            k > 0 && seen[s] && shard_of(arrivals[k - 1].client_id, cfg) != s;
+        seen[s] = true;
+      }
+      EXPECT_EQ(interleaved, shards > 1) << shards << " shards";
+
+      const OracleResult oracle = per_shard_oracle(*agg, arrivals, global, cfg);
+      if (shards == 1 && name != "fedavg")
+        EXPECT_FALSE(oracle.result.flags.empty()) << name << " should flag an attacker";
+      for (const unsigned threads : {0u, 4u}) {
+        const std::string cell = name + " / " + std::to_string(shards) +
+                                 " shards / " + std::to_string(threads) + " threads";
+        const HierarchicalResult r = run_tree(*agg, arrivals, global, shards, threads);
+        EXPECT_TRUE(bitwise_equal(r.result.params, oracle.result.params)) << cell;
+        ASSERT_EQ(r.result.flags.size(), oracle.result.flags.size()) << cell;
+        for (std::size_t f = 0; f < r.result.flags.size(); ++f) {
+          const AggregatorFlag& got = r.result.flags[f];
+          const AggregatorFlag& want = oracle.result.flags[f];
+          EXPECT_EQ(got.client_id, want.client_id) << cell;
+          EXPECT_EQ(got.reason, want.reason) << cell;
+          EXPECT_EQ(got.excluded, want.excluded) << cell;
+        }
+        ASSERT_EQ(r.shards.size(), shards) << cell;
+        ASSERT_EQ(r.shard_seconds.size(), shards) << cell;
+        for (std::size_t s = 0; s < shards; ++s) {
+          const ShardStats& got = r.shards[s];
+          const ShardStats& want = oracle.shards[s];
+          EXPECT_EQ(got.shard_id, want.shard_id) << cell;
+          EXPECT_EQ(got.num_updates, want.num_updates) << cell;
+          EXPECT_EQ(got.num_accepted, want.num_accepted) << cell;
+          EXPECT_EQ(got.num_flagged, want.num_flagged) << cell;
+          EXPECT_EQ(got.weight, want.weight) << cell;
+          EXPECT_EQ(got.min_norm, want.min_norm) << cell;
+          EXPECT_EQ(got.median_norm, want.median_norm) << cell;
+          EXPECT_EQ(got.max_norm, want.max_norm) << cell;
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------- single-shard bit-identity --
@@ -491,11 +538,7 @@ TEST(ShardHierarchyTest, EmptyShardsAreSkippedAndAllEmptyCombineThrows) {
                                          update_for(1, global),
                                          update_for(2, global)};
   auto agg = make_robust_aggregator(AggregatorKind::kFedAvg);
-  ShardConfig cfg;
-  cfg.num_shards = 8;
-  cfg.assignment_seed = kSeed;
-  const HierarchicalResult r =
-      hierarchical_aggregate(*agg, updates, global, cfg, nullptr);
+  const HierarchicalResult r = run_tree(*agg, updates, global, 8, 0);
   ASSERT_EQ(r.shards.size(), 8u);
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < r.shards.size(); ++s) {
@@ -511,9 +554,15 @@ TEST(ShardHierarchyTest, EmptyShardsAreSkippedAndAllEmptyCombineThrows) {
 
   const std::vector<ShardSummary> empties(3);
   EXPECT_THROW(agg->combine(empties, global), Error);
-  EXPECT_THROW(hierarchical_aggregate(*agg, std::span<const ModelUpdateMsg>{},
-                                      global, cfg, nullptr),
-               Error);
+
+  // A session with nothing absorbed refuses to finalize, closes, and
+  // leaves the round where it was.
+  FlServer server(global, std::make_unique<NoServerDefense>());
+  server.set_shards(shard_config(8));
+  server.begin_aggregation();
+  EXPECT_THROW(server.finalize_aggregation(), Error);
+  EXPECT_FALSE(server.aggregation_open());
+  EXPECT_EQ(server.round(), 0);
 }
 
 // ------------------------------------------------- simulation integration --

@@ -5,6 +5,7 @@
 #include "fl/simulation.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "util/execution_context.h"
 
 namespace dinar::fl {
 namespace {
@@ -288,6 +289,41 @@ TEST(ServerTest, BroadcastCarriesRound) {
   const std::vector<ModelUpdateMsg> cohort{a};
   server.aggregate(cohort);
   EXPECT_EQ(server.broadcast().round, 1);
+}
+
+TEST(ServerTest, SettersRefuseWhileAnAggregationSessionIsOpen) {
+  FlServer server(one_tensor(Tensor({2}, {0.0f, 0.0f})),
+                  std::make_unique<NoServerDefense>());
+  ShardConfig two_shards;
+  two_shards.num_shards = 2;
+  ExecutionContext exec(ExecConfig{});
+
+  // The session and its accumulators hold the aggregator, shard layout and
+  // execution context by reference: swapping any of them mid-session must
+  // throw instead of leaving the session pointing at freed state.
+  server.begin_aggregation();
+  EXPECT_THROW(server.set_aggregator(make_robust_aggregator(AggregatorKind::kMedian)),
+               Error);
+  EXPECT_THROW(server.set_shards(two_shards), Error);
+  EXPECT_THROW(server.set_execution_context(&exec), Error);
+
+  ModelUpdateMsg a;
+  a.num_samples = 1;
+  a.params = one_tensor(Tensor({2}, {2.0f, 4.0f}));
+  server.absorb_validated(a);
+  server.finalize_aggregation();
+  EXPECT_EQ(server.aggregator().name(), "fedavg");
+  EXPECT_EQ(server.shards().num_shards, 1u);
+  EXPECT_EQ(server.global_params().as_span()[0], 2.0f);
+  EXPECT_EQ(server.global_params().as_span()[1], 4.0f);
+
+  // Closed again: the setters work.
+  server.set_aggregator(make_robust_aggregator(AggregatorKind::kMedian));
+  server.set_shards(two_shards);
+  server.set_execution_context(&exec);
+  EXPECT_EQ(server.aggregator().name(), "median");
+  EXPECT_EQ(server.shards().num_shards, 2u);
+  server.set_execution_context(nullptr);
 }
 
 // ------------------------------------------------------------- simulation --
