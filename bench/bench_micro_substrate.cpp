@@ -1,14 +1,22 @@
 // Engineering microbenchmarks (google-benchmark) for the substrate hot
 // paths: tensor math, layer forward/backward, serialization, FedAvg
-// aggregation, obfuscation and the sensitivity statistics. Not a paper
-// artifact; used to keep the simulator fast enough for the experiment
-// suite.
+// aggregation, obfuscation, the sensitivity statistics and the durable
+// store's commit tier (CRC-32, WAL append + fsync, snapshot install). Not
+// a paper artifact; used to keep the simulator fast enough for the
+// experiment suite. The store rows report bytes/s only and gate nothing:
+// fsync cost depends on the filesystem under the temp directory.
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "core/obfuscation.h"
 #include "fl/server.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
+#include "store/io.h"
+#include "store/round_store.h"
 #include "util/stats.h"
 
 namespace dinar {
@@ -116,6 +124,67 @@ void BM_JsDivergenceSamples(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JsDivergenceSamples);
+
+// A fresh directory under the system temp dir, removed on destruction.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const char* name)
+      : path(std::filesystem::temp_directory_path() /
+             (std::string(name) + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+std::vector<std::uint8_t> patterned_bytes(std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  return out;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<std::uint8_t> buf = patterned_bytes(32u << 20);
+  for (auto _ : state) benchmark::DoNotOptimize(store::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
+
+// One fsynced WAL record per iteration; the log is compacted every 8
+// records so the file stays small.
+void BM_WalAppend(benchmark::State& state) {
+  const std::vector<std::uint8_t> record =
+      patterned_bytes(static_cast<std::size_t>(state.range(0)));
+  const ScratchDir dir("dinar-bm-wal");
+  store::RoundStore rs(dir.path.string());
+  std::int64_t appended = 0;
+  for (auto _ : state) {
+    rs.append(record);
+    if (++appended % 8 == 0) {
+      state.PauseTiming();
+      rs.install_snapshot(appended, {});
+      state.ResumeTiming();
+    }
+  }
+  state.SetBytesProcessed(appended * static_cast<std::int64_t>(record.size()));
+}
+BENCHMARK(BM_WalAppend)->Arg(1 << 20)->Arg(32 << 20)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One snapshot install per iteration: header + payload through temp file,
+// fsync, rename and directory fsync, then WAL reset and pruning.
+void BM_SnapshotInstall(benchmark::State& state) {
+  const std::vector<std::uint8_t> payload = patterned_bytes(64'000'000);
+  const ScratchDir dir("dinar-bm-snapshot");
+  store::RoundStore rs(dir.path.string());
+  std::int64_t round = 0;
+  for (auto _ : state) rs.install_snapshot(++round, payload);
+  state.SetBytesProcessed(round * static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_SnapshotInstall)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace dinar

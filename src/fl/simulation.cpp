@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -633,12 +634,14 @@ void FederatedSimulation::attach_store(store::RoundStore* store, int snapshot_ev
   store_ = store;
   snapshot_every_ = snapshot_every;
   rounds_since_snapshot_ = 0;
+  if (store == nullptr) commit_buf_ = BinaryWriter();  // release the capacity
 }
 
 void FederatedSimulation::append_round_to_store(
     const RoundOutcome& out, const nn::FlatParams& prev_global,
     const std::vector<std::size_t>& touched) {
-  BinaryWriter w;
+  BinaryWriter& w = commit_buf_;
+  w.clear();
   w.write_u8(static_cast<std::uint8_t>(WalRecordKind::kRoundCommit));
   write_round_outcome(w, out);
 
@@ -652,11 +655,15 @@ void FederatedSimulation::append_round_to_store(
     const std::span<const float> before = prev_global.as_span();
     DINAR_CHECK(now.size() == before.size(),
                 "global arena resized within round " << out.round);
-    std::vector<float> delta(now.size());
-    for (std::size_t i = 0; i < now.size(); ++i)
-      delta[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(now[i]) ^
-                                      std::bit_cast<std::uint32_t>(before[i]));
-    w.write_f32_span(delta.data(), delta.size());
+    // Same bytes as write_f32_span of the delta, XORed straight into the
+    // record.
+    w.write_u64(now.size());
+    std::uint8_t* delta = w.extend(now.size() * sizeof(float));
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      const std::uint32_t bits =
+          std::bit_cast<std::uint32_t>(now[i]) ^ std::bit_cast<std::uint32_t>(before[i]);
+      std::memcpy(delta + i * sizeof(float), &bits, sizeof bits);
+    }
   }
 
   // Post-round state of every client the round touched (their training RNG
@@ -680,7 +687,8 @@ void FederatedSimulation::append_round_to_store(
 }
 
 void FederatedSimulation::append_eval_to_store(const RoundRecord& rec) {
-  BinaryWriter w;
+  BinaryWriter& w = commit_buf_;
+  w.clear();
   w.write_u8(static_cast<std::uint8_t>(WalRecordKind::kEvalRecord));
   write_round_record(w, rec);
   store_->append(w.buffer());
@@ -688,7 +696,8 @@ void FederatedSimulation::append_eval_to_store(const RoundRecord& rec) {
 
 void FederatedSimulation::maybe_snapshot() {
   if (++rounds_since_snapshot_ < snapshot_every_) return;
-  BinaryWriter w;
+  BinaryWriter& w = commit_buf_;
+  w.clear();
   save_full_state(w);
   store_->install_snapshot(server_->round(), w.buffer());
   rounds_since_snapshot_ = 0;
@@ -788,16 +797,18 @@ bool FederatedSimulation::apply_wal_record(BinaryReader& r) {
                                            << server_->round());
 
   if (r.read_u8() != 0) {
-    std::vector<float> delta;
-    r.read_f32_span(delta);
+    // XOR the delta in straight from the record bytes.
+    const std::uint64_t n = r.read_length(sizeof(float));
     nn::FlatParams global = server_->global_params();
     const std::span<float> g = global.as_span();
-    DINAR_CHECK(delta.size() == g.size(),
-                "WAL round " << out.round << " delta has " << delta.size()
-                             << " floats, arena has " << g.size());
-    for (std::size_t i = 0; i < g.size(); ++i)
-      g[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) ^
-                                  std::bit_cast<std::uint32_t>(delta[i]));
+    DINAR_CHECK(n == g.size(), "WAL round " << out.round << " delta has " << n
+                                            << " floats, arena has " << g.size());
+    const std::uint8_t* delta = r.read_raw(n * sizeof(float));
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      std::uint32_t bits;
+      std::memcpy(&bits, delta + i * sizeof(float), sizeof bits);
+      g[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) ^ bits);
+    }
     server_->restore(out.round + 1, std::move(global));
   } else {
     server_->carry_forward();

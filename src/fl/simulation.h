@@ -69,6 +69,7 @@
 #include "nn/model_zoo.h"
 #include "opt/optimizers.h"
 #include "util/execution_context.h"
+#include "util/serde.h"
 
 namespace dinar::store {
 class RoundStore;
@@ -422,6 +423,9 @@ class FederatedSimulation {
   store::RoundStore* store_ = nullptr;
   int snapshot_every_ = 8;
   std::int64_t rounds_since_snapshot_ = 0;
+  // Serializes every WAL record and snapshot. Kept across rounds so the
+  // commit path reuses one buffer instead of faulting in a fresh one.
+  BinaryWriter commit_buf_;
 };
 
 }  // namespace dinar::fl

@@ -1,6 +1,7 @@
 #include "store/round_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,41 +15,38 @@ namespace {
 
 constexpr std::size_t kSnapHeaderBytes = 8 + 8 + 8 + 4;  // magic+ver+round+len+crc
 
-std::vector<std::uint8_t> frame_snapshot(std::int64_t round,
-                                         std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> bytes(kSnapHeaderBytes + payload.size());
-  std::uint8_t* p = bytes.data();
+using SnapHeader = std::array<std::uint8_t, kSnapHeaderBytes>;
+
+SnapHeader snapshot_header(std::int64_t round, std::span<const std::uint8_t> payload) {
+  SnapHeader h;
   const std::uint32_t magic = kSnapshotMagic, version = kSnapshotVersion;
   const std::uint64_t len = payload.size();
   const std::uint32_t crc = crc32(payload.data(), payload.size());
-  std::memcpy(p, &magic, 4);
-  std::memcpy(p + 4, &version, 4);
-  std::memcpy(p + 8, &round, 8);
-  std::memcpy(p + 16, &len, 8);
-  std::memcpy(p + 24, &crc, 4);
-  if (!payload.empty())  // empty span's data() is null; memcpy forbids null
-    std::memcpy(p + kSnapHeaderBytes, payload.data(), payload.size());
-  return bytes;
+  std::memcpy(h.data(), &magic, 4);
+  std::memcpy(h.data() + 4, &version, 4);
+  std::memcpy(h.data() + 8, &round, 8);
+  std::memcpy(h.data() + 16, &len, 8);
+  std::memcpy(h.data() + 24, &crc, 4);
+  return h;
 }
 
-// Validates a snapshot file's framing + CRC; nullopt on any mismatch
-// (treated as a torn/corrupt snapshot, not an error).
-std::optional<std::vector<std::uint8_t>> unframe_snapshot(
-    const std::vector<std::uint8_t>& bytes, std::int64_t expect_round) {
-  if (bytes.size() < kSnapHeaderBytes) return std::nullopt;
+// Validates a snapshot's framing + CRC in place: `h` is its header,
+// `file` what followed it. false on any mismatch (a torn/corrupt snapshot,
+// not an error).
+bool snapshot_valid(const SnapHeader& h, const SplitFile& file, std::int64_t expect_round) {
+  if (file.header_bytes < kSnapHeaderBytes) return false;
   std::uint32_t magic, version, crc;
   std::int64_t round;
   std::uint64_t len;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
-  std::memcpy(&round, bytes.data() + 8, 8);
-  std::memcpy(&len, bytes.data() + 16, 8);
-  std::memcpy(&crc, bytes.data() + 24, 4);
-  if (magic != kSnapshotMagic || version != kSnapshotVersion) return std::nullopt;
-  if (round != expect_round) return std::nullopt;
-  if (len != bytes.size() - kSnapHeaderBytes) return std::nullopt;
-  if (crc32(bytes.data() + kSnapHeaderBytes, len) != crc) return std::nullopt;
-  return std::vector<std::uint8_t>(bytes.begin() + kSnapHeaderBytes, bytes.end());
+  std::memcpy(&magic, h.data(), 4);
+  std::memcpy(&version, h.data() + 4, 4);
+  std::memcpy(&round, h.data() + 8, 8);
+  std::memcpy(&len, h.data() + 16, 8);
+  std::memcpy(&crc, h.data() + 24, 4);
+  if (magic != kSnapshotMagic || version != kSnapshotVersion) return false;
+  if (round != expect_round) return false;
+  if (len != file.rest.size()) return false;
+  return crc32(file.rest.data(), len) == crc;
 }
 
 }  // namespace
@@ -83,10 +81,10 @@ std::vector<std::int64_t> RoundStore::snapshot_rounds() const {
 
 void RoundStore::install_snapshot(std::int64_t round,
                                   std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> framed = frame_snapshot(round, payload);
   // 1. Durably install the new snapshot (crash-safe: old snapshot + WAL
   //    still recover until the rename lands).
-  atomic_write_file(snapshot_path(round), framed, "snapshot");
+  const SnapHeader header = snapshot_header(round, payload);
+  atomic_write_file(snapshot_path(round), header, payload, "snapshot");
   crashpoint("snapshot.post_rename");
   // 2. Compact the WAL. A crash between 1 and 2 leaves absorbed records in
   //    the log; recovery dedupes them by round.
@@ -101,14 +99,16 @@ void RoundStore::install_snapshot(std::int64_t round,
 RoundStore::Recovered RoundStore::recover() const {
   Recovered out;
   for (const std::int64_t round : snapshot_rounds()) {
-    const auto bytes = read_file(snapshot_path(round));
-    if (!bytes.has_value()) continue;
-    auto payload = unframe_snapshot(*bytes, round);
-    if (!payload.has_value()) {
+    // The payload is read straight into its own buffer, apart from the
+    // header, and handed out without another copy.
+    SnapHeader header;
+    std::optional<SplitFile> file = read_file_split(snapshot_path(round), header);
+    if (!file.has_value()) continue;
+    if (!snapshot_valid(header, *file, round)) {
       ++out.snapshots_rejected;  // torn or bit-rotted: fall back to older
       continue;
     }
-    out.snapshot = std::move(payload);
+    out.snapshot = std::move(file->rest);
     out.snapshot_round = round;
     break;
   }
@@ -120,7 +120,7 @@ RoundStore::Recovered RoundStore::recover() const {
 
 bool RoundStore::empty() const {
   if (!snapshot_rounds().empty()) return false;
-  return Wal::scan(wal_.path()).records.empty();
+  return Wal::scan_prefix(wal_.path()).valid_bytes <= kWalHeaderBytes;
 }
 
 }  // namespace dinar::store

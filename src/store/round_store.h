@@ -4,8 +4,8 @@
 // owner (the FL simulation serializes round deltas and full-state
 // snapshots into them). The store's job is the durability protocol:
 //
-//   <dir>/wal.log                    append-only CRC-framed round records
-//   <dir>/snapshot-<round>.snap      periodic compacted full snapshots
+//   <dir>/wal.log                         append-only CRC-framed round records
+//   <dir>/snapshot-<12-digit round>.snap  periodic compacted full snapshots
 //
 // Commit protocol (append): one fsynced WAL append per committed round —
 // a round is durable iff its record's fsync returned.

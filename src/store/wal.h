@@ -4,11 +4,14 @@
 //   [u32 magic 'DWAL'][u32 version]
 //   record*:  [u32 payload_len][u32 crc32(payload)][payload bytes]
 //
-// Append durability: each append() writes the frame with a single write()
-// and fsyncs before returning, so an acked record survives kill -9 and
-// power loss. A crash *during* an append leaves a torn tail: a partial
-// header, a header whose payload is cut short, or a complete frame whose
-// CRC does not match the (partially written or bit-rotted) payload.
+// Append durability: each append() writes the frame header and payload
+// with a single pwritev() at the end of the acked prefix and fsyncs before
+// returning, so an acked record survives kill -9 and power loss. A crash
+// *during* an append leaves a torn tail: a partial header, a header whose
+// payload is cut short, or a complete frame whose CRC does not match the
+// (partially written or bit-rotted) payload. An append that throws
+// partway (ENOSPC, EFBIG) leaves torn bytes too; the next append writes
+// over them, so a later acked record never lands behind a torn frame.
 //
 // Recovery contract (scan()): return the longest valid prefix of records
 // and stop at the first frame that is incomplete, overlong, or fails its
@@ -28,6 +31,8 @@ namespace dinar::store {
 
 inline constexpr std::uint32_t kWalMagic = 0x4C415744;  // "DWAL" little-endian
 inline constexpr std::uint32_t kWalVersion = 1;
+inline constexpr std::size_t kWalHeaderBytes = 8;       // magic + version
+inline constexpr std::size_t kWalFrameHeaderBytes = 8;  // payload_len + crc
 
 class Wal {
  public:
@@ -45,6 +50,9 @@ class Wal {
 
   // Scans without opening for append. Never throws on corruption.
   static ScanResult scan(const std::string& path);
+  // Same scan, but only finds the valid prefix: `records` stays empty and
+  // no record is copied out of the file.
+  static ScanResult scan_prefix(const std::string& path);
 
   // Opens `path` for appending, creating it (with a fresh header) if
   // missing, and truncating any torn tail left by a previous crash.

@@ -43,6 +43,18 @@ class BinaryWriter {
     append(v.data(), v.size() * sizeof(std::int64_t));
   }
 
+  // Grows the buffer by `n` bytes and returns a pointer to them, for the
+  // caller to fill in place (valid until the next write).
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
+  // Empties the buffer but keeps its capacity: a writer reused across
+  // records stops allocating once it has held the largest one.
+  void clear() { buf_.clear(); }
+
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

@@ -3,10 +3,15 @@
 // recovery (empty WAL, snapshot-only, duplicate records, legacy DCKP).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <bit>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "fl/durable.h"
 #include "fl/simulation.h"
@@ -57,6 +62,58 @@ TEST(Crc32Test, SeedChainsBuffers) {
   EXPECT_EQ(store::crc32(s + 4, 5, part), store::crc32(s, 9));
 }
 
+// The bytewise table walk that crc32() replaced; kept here as the
+// reference the fast path must match value for value.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(gen());
+  return out;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> buf = random_bytes(64 + 8, 1);
+  for (std::size_t align = 0; align < 8; ++align)
+    for (std::size_t len = 0; len <= 64; ++len)
+      EXPECT_EQ(store::crc32(buf.data() + align, len),
+                bytewise_crc32(buf.data() + align, len))
+          << "align=" << align << " len=" << len;
+  // Lengths on both sides of the size where the lanes start, and with every
+  // remainder past three whole lanes.
+  const std::vector<std::uint8_t> mid = random_bytes(20000, 5);
+  for (std::size_t len = 1000; len + 8 <= mid.size(); len += 997)
+    for (std::size_t align = 0; align < 8; ++align)
+      EXPECT_EQ(store::crc32(mid.data() + align, len, 7u),
+                bytewise_crc32(mid.data() + align, len, 7u))
+          << "align=" << align << " len=" << len;
+  const std::vector<std::uint8_t> big = random_bytes(5u << 20, 2);
+  EXPECT_EQ(store::crc32(big.data(), big.size()), bytewise_crc32(big.data(), big.size()));
+  EXPECT_EQ(store::crc32(big.data() + 3, big.size() - 3, 0x12345678u),
+            bytewise_crc32(big.data() + 3, big.size() - 3, 0x12345678u));
+}
+
+TEST(Crc32Test, SeedChainsAtEverySplitPoint) {
+  const std::vector<std::uint8_t> buf = random_bytes(100, 3);
+  const std::uint32_t whole = bytewise_crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = store::crc32(buf.data(), split);
+    EXPECT_EQ(store::crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split=" << split;
+  }
+}
+
 // -------------------------------------------------------- atomic_write_file --
 
 TEST(AtomicWriteTest, ReplacesContentAndLeavesNoTemp) {
@@ -97,6 +154,113 @@ TEST(WalTest, AppendReopenScanRoundTrips) {
   const auto scan = store::Wal::scan(path);
   EXPECT_EQ(scan.records, records);
   EXPECT_FALSE(scan.tail_discarded);
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 0xF];
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+// The on-disk WAL layout, byte for byte: 'DWAL', version 1, then one frame
+// of [len 9][crc32 0x881559dd]["dinar-wal"]. A log written in this exact
+// form by any earlier build must keep scanning to the same record.
+constexpr const char* kGoldenWal =
+    "4457414c01000000"     // magic 'DWAL', version 1
+    "09000000dd591588"     // payload_len 9, crc32
+    "64696e61722d77616c";  // "dinar-wal"
+
+TEST(WalTest, FrameBytesAreGolden) {
+  const std::string dir = fresh_dir("wal_golden");
+  const std::string payload = "dinar-wal";
+  {
+    store::Wal wal(dir + "/wal.log");
+    wal.append({reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()});
+  }
+  const auto bytes = store::read_file(dir + "/wal.log");
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(to_hex(*bytes), kGoldenWal);
+
+  const std::string old_path = dir + "/old.log";
+  write_raw(old_path, from_hex(kGoldenWal));
+  const auto scan = store::Wal::scan(old_path);
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(std::string(scan.records[0].begin(), scan.records[0].end()), payload);
+  EXPECT_FALSE(scan.tail_discarded);
+}
+
+// A multi-MiB record round-trips, and a single bit flip in the last,
+// partial 8-byte block of its payload (the CRC's bytewise tail) rejects it.
+TEST(WalTest, MultiMiBRecordRoundTripsAndCatchesTailBitFlip) {
+  const std::string path = fresh_dir("wal_big") + "/wal.log";
+  const std::vector<std::uint8_t> big = random_bytes((3u << 20) + 5, 4);
+  {
+    store::Wal wal(path);
+    wal.append(big);
+    wal.append(bytes_of({1, 2, 3}));
+  }
+  auto scan = store::Wal::scan(path);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_TRUE(scan.records[0] == big);
+  EXPECT_EQ(scan.records[1], bytes_of({1, 2, 3}));
+  EXPECT_EQ(store::Wal::scan_prefix(path).valid_bytes, scan.valid_bytes);
+
+  auto bytes = store::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  const std::size_t last = store::kWalHeaderBytes + store::kWalFrameHeaderBytes + big.size() - 1;
+  (*bytes)[last] ^= 0x10;
+  write_raw(path, *bytes);
+  scan = store::Wal::scan(path);
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_TRUE(scan.tail_discarded);
+  EXPECT_EQ(scan.valid_bytes, store::kWalHeaderBytes);
+  const auto prefix = store::Wal::scan_prefix(path);
+  EXPECT_TRUE(prefix.records.empty());
+  EXPECT_EQ(prefix.valid_bytes, store::kWalHeaderBytes);
+  EXPECT_TRUE(prefix.tail_discarded);
+}
+
+// An append that fails partway (here EFBIG under RLIMIT_FSIZE) leaves torn
+// bytes behind. The next acked append must land at the end of the valid
+// prefix, over the torn bytes, so a scan still finds it. Runs in a death
+// test child so the rlimit cannot leak into other tests.
+TEST(WalTest, FailedAppendDoesNotHideTheNextAckedRecord) {
+  const std::string path = fresh_dir("wal_efbig") + "/wal.log";
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        store::Wal wal(path);
+        wal.append(std::vector<std::uint8_t>(100, 1));  // file: 8 + 108 bytes
+        rlimit saved{};
+        ::getrlimit(RLIMIT_FSIZE, &saved);
+        rlimit tight = saved;
+        tight.rlim_cur = 116 + 500;  // room for half of the next frame
+        ::setrlimit(RLIMIT_FSIZE, &tight);
+        bool threw = false;
+        try {
+          wal.append(std::vector<std::uint8_t>(1000, 2));
+        } catch (const Error&) {
+          threw = true;
+        }
+        ::setrlimit(RLIMIT_FSIZE, &saved);
+        wal.append(std::vector<std::uint8_t>(10, 3));  // acked
+        const auto scan = store::Wal::scan(path);
+        const bool ok = threw && scan.records.size() == 2 &&
+                        scan.records[1] == std::vector<std::uint8_t>(10, 3);
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(WalTest, ResetTruncatesToHeader) {
@@ -275,6 +439,43 @@ TEST(RoundStoreTest, SnapshotOnlyRecovers) {
   EXPECT_EQ(*rec.snapshot, bytes_of({10, 20, 30}));
   EXPECT_EQ(rec.snapshot_round, 5);
   EXPECT_TRUE(rec.wal_records.empty());
+}
+
+// The on-disk snapshot layout, byte for byte: 'DSNP', version 1, i64
+// round 7, u64 length 15, crc32 0x48e8a49e, then the payload, in a file
+// named snapshot-<12-digit round>.snap beside wal.log.
+constexpr const char* kGoldenSnapshot =
+    "44534e5001000000"                // magic 'DSNP', version 1
+    "0700000000000000"                // round 7
+    "0f00000000000000"                // payload length 15
+    "9ea4e848"                        // crc32
+    "64696e61722d736e617073686f7421";  // "dinar-snapshot!"
+
+TEST(RoundStoreTest, SnapshotBytesAreGolden) {
+  const std::string payload = "dinar-snapshot!";
+  const std::vector<std::uint8_t> bytes(payload.begin(), payload.end());
+  const std::string dir = fresh_dir("rs_golden") + "/store";
+  {
+    store::RoundStore s(dir);
+    s.install_snapshot(7, bytes);
+  }
+  EXPECT_TRUE(store::path_exists(dir + "/wal.log"));
+  const auto file = store::read_file(dir + "/snapshot-000000000007.snap");
+  ASSERT_TRUE(file.has_value());
+  EXPECT_EQ(to_hex(*file), kGoldenSnapshot);
+
+  // A store written in this form by an earlier build recovers.
+  const std::string old_dir = fresh_dir("rs_golden_old") + "/store";
+  fs::create_directories(old_dir);
+  write_raw(old_dir + "/wal.log", from_hex(kGoldenWal));
+  write_raw(old_dir + "/snapshot-000000000007.snap", from_hex(kGoldenSnapshot));
+  const auto rec = store::RoundStore(old_dir).recover();
+  ASSERT_TRUE(rec.snapshot.has_value());
+  EXPECT_EQ(*rec.snapshot, bytes);
+  EXPECT_EQ(rec.snapshot_round, 7);
+  ASSERT_EQ(rec.wal_records.size(), 1u);
+  EXPECT_EQ(std::string(rec.wal_records[0].begin(), rec.wal_records[0].end()),
+            "dinar-wal");
 }
 
 TEST(RoundStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
