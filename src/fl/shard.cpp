@@ -55,8 +55,9 @@ HierarchicalResult ShardedAggregationSession::finalize() {
   // Close the accumulators as one task per shard (race-free slots): by the
   // time finalize runs the round's exchange tasks have drained, so
   // buffering strategies get the pool for their whole-shard pass (inner
-  // loops degrade to sequential on workers; with one shard the task runs
-  // inline and keeps the full pool). Order cannot matter — each finalize
+  // loops are nested sections that idle workers join once the smaller
+  // shards are closed; with one shard the task runs inline and keeps the
+  // full pool). Order cannot matter — each finalize
   // is a pure function of its own shard's absorbed sequence. An empty
   // shard never ran, so it stays untimed.
   std::vector<ShardSummary> summaries(num_shards);

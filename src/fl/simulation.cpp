@@ -571,6 +571,7 @@ const RoundOutcome& FederatedSimulation::run_round() {
     // the round, and recovery re-runs it bit-identically (all round
     // randomness is keyed by (seed, round); all sequential streams are in
     // the previous record).
+    join_install();
     crashpoint("round.commit.mid");
     append_round_to_store(round_log_.back(), prev_global, touched);
     crashpoint("round.commit.post_append");
@@ -631,6 +632,7 @@ void FederatedSimulation::attach_store(store::RoundStore* store, int snapshot_ev
   DINAR_CHECK(snapshot_every >= 1,
               "attach_store snapshot_every = " << snapshot_every
                                                << " — need at least 1");
+  join_install();
   store_ = store;
   snapshot_every_ = snapshot_every;
   rounds_since_snapshot_ = 0;
@@ -687,6 +689,7 @@ void FederatedSimulation::append_round_to_store(
 }
 
 void FederatedSimulation::append_eval_to_store(const RoundRecord& rec) {
+  join_install();
   BinaryWriter& w = commit_buf_;
   w.clear();
   w.write_u8(static_cast<std::uint8_t>(WalRecordKind::kEvalRecord));
@@ -695,12 +698,43 @@ void FederatedSimulation::append_eval_to_store(const RoundRecord& rec) {
 }
 
 void FederatedSimulation::maybe_snapshot() {
+  join_install();
   if (++rounds_since_snapshot_ < snapshot_every_) return;
   BinaryWriter& w = commit_buf_;
   w.clear();
   save_full_state(w);
-  store_->install_snapshot(server_->round(), w.buffer());
   rounds_since_snapshot_ = 0;
+  install_ = std::make_unique<SnapshotInstall>();
+  SnapshotInstall* job = install_.get();
+  job->bytes = std::move(commit_buf_);
+  job->thread = std::thread([job, store = store_, round = server_->round()] {
+    try {
+      store->install_snapshot(round, job->bytes.buffer());
+    } catch (...) {
+      job->error = std::current_exception();
+    }
+  });
+}
+
+void FederatedSimulation::join_install() {
+  if (install_ == nullptr) return;
+  install_->thread.join();
+  commit_buf_ = std::move(install_->bytes);
+  const std::exception_ptr error = install_->error;
+  install_.reset();
+  if (error) std::rethrow_exception(error);
+}
+
+FederatedSimulation::SnapshotInstall::~SnapshotInstall() {
+  if (thread.joinable()) thread.join();
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      DINAR_WARN << "snapshot install failed and was never joined: " << e.what();
+    } catch (...) {
+    }
+  }
 }
 
 void FederatedSimulation::save_full_state(BinaryWriter& w) const {
@@ -838,6 +872,7 @@ bool FederatedSimulation::apply_wal_record(BinaryReader& r) {
 
 std::int64_t FederatedSimulation::recover_from_store() {
   DINAR_CHECK(store_ != nullptr, "recover_from_store() without attach_store()");
+  join_install();
   invalidate_prefetch();
   const store::RoundStore::Recovered rec = store_->recover();
 

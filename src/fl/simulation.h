@@ -56,9 +56,12 @@
 // selection deterministic and checkpoint-resume exact under churn.
 #pragma once
 
+#include <exception>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/splits.h"
@@ -289,7 +292,9 @@ class FederatedSimulation {
   // rebuilds a state bit-identical to some committed round boundary and
   // the re-run of any lost round is bit-identical to the uninterrupted
   // run (all round randomness is keyed by (seed, round); all sequential
-  // streams are part of the persisted state). The store must outlive the
+  // streams are part of the persisted state). A snapshot round returns
+  // with its install still running; the next store touch, attach_store()
+  // and destruction join it (DESIGN.md §10). The store must outlive the
   // simulation; pass nullptr to detach.
   void attach_store(store::RoundStore* store, int snapshot_every = 8);
 
@@ -372,8 +377,13 @@ class FederatedSimulation {
   void append_round_to_store(const RoundOutcome& out, const nn::FlatParams& prev_global,
                              const std::vector<std::size_t>& touched);
   void append_eval_to_store(const RoundRecord& rec);
-  // Compacts the WAL onto a fresh full-state snapshot on cadence.
+  // Compacts the WAL onto a fresh full-state snapshot on cadence. The
+  // snapshot is serialized here; its install runs behind the next round.
   void maybe_snapshot();
+  // Waits for the in-flight snapshot install (if any), takes its buffer
+  // back into commit_buf_ and rethrows its error. Every store touch calls
+  // it first.
+  void join_install();
   // Applies one WAL record; returns false when the record is a stale
   // duplicate (skip) — malformed records throw and the caller stops.
   bool apply_wal_record(BinaryReader& r);
@@ -426,6 +436,22 @@ class FederatedSimulation {
   // Serializes every WAL record and snapshot. Kept across rounds so the
   // commit path reuses one buffer instead of faulting in a fresh one.
   BinaryWriter commit_buf_;
+  // Snapshot install running behind the next round (DESIGN.md §10): the
+  // round is already fsynced in the WAL and a snapshot only compacts the
+  // store, so write + fsync + rename + WAL reset + prune run on a
+  // dedicated thread — not a pool task, whose worker would sit in fsync
+  // instead of running exchanges. The block owns the thread and, until
+  // join_install() hands it back, commit_buf_'s storage holding the
+  // snapshot bytes; its destructor joins. So the simulation stays movable
+  // and destructible with an install in flight, and commit_buf_ is never
+  // rewritten under one. The store must outlive the install.
+  struct SnapshotInstall {
+    BinaryWriter bytes;
+    std::exception_ptr error;
+    std::thread thread;
+    ~SnapshotInstall();
+  };
+  std::unique_ptr<SnapshotInstall> install_;
 };
 
 }  // namespace dinar::fl

@@ -1,6 +1,8 @@
 #include "fl/wire_codec.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -97,6 +99,49 @@ void read_coded_values(BinaryReader& r, WireEncoding e, std::size_t n,
   }
 }
 
+// |x| as an unsigned key: for finite floats, clearing the sign bit leaves
+// an integer that orders exactly like the magnitude (both zeros map to 0).
+std::uint32_t magnitude_key(float x) {
+  return std::bit_cast<std::uint32_t>(x) & 0x7fffffffu;
+}
+
+// The k largest |delta| of an all-finite delta, ties to the lower index,
+// written out in ascending index order with their values. A radix select
+// over the magnitude keys (digits of 11, 10 and 10 bits) finds the k-th
+// largest key; one ascending scan then keeps every key above it and the
+// lowest-indexed keys equal to it. That is exactly the first k under the
+// total order "larger |delta| first, ties to the lower index".
+void select_top_k(const std::vector<float>& delta, std::size_t k,
+                  std::uint32_t* idx, float* vals) {
+  std::vector<std::uint32_t> keys(delta.size());
+  for (std::size_t j = 0; j < delta.size(); ++j) keys[j] = magnitude_key(delta[j]);
+  std::uint32_t threshold = 0;
+  std::size_t rank = k;  // keys still wanted among those matching `threshold`
+  for (const int shift : {20, 10, 0}) {
+    const std::uint32_t mask = shift == 20 ? 0x7ffu : 0x3ffu;
+    std::array<std::uint32_t, 0x800> hist{};
+    for (const std::uint32_t key : keys) ++hist[(key >> shift) & mask];
+    std::uint32_t digit = mask;
+    while (hist[digit] < rank) rank -= hist[digit--];
+    threshold |= digit << shift;
+    // The next digit is only looked at among keys sharing this prefix.
+    std::erase_if(keys, [&](std::uint32_t key) { return ((key >> shift) & mask) != digit; });
+  }
+  // Keep `rank` of the keys equal to the threshold, lowest index first.
+  std::size_t out = 0;
+  for (std::size_t j = 0; j < delta.size(); ++j) {
+    const std::uint32_t key = magnitude_key(delta[j]);
+    if (key < threshold) continue;
+    if (key == threshold) {
+      if (rank == 0) continue;
+      --rank;
+    }
+    idx[out] = static_cast<std::uint32_t>(j);
+    vals[out] = delta[j];
+    ++out;
+  }
+}
+
 void write_dense_f32(BinaryWriter& w, std::span<const float> vals) {
   w.write_u8(static_cast<std::uint8_t>(WireEncoding::kF32));
   w.write_u8(0);
@@ -141,23 +186,9 @@ void write_entry_run(BinaryWriter& w, const nn::FlatParams& p, std::size_t i,
     std::size_t k = static_cast<std::size_t>(
         std::ceil(codec.topk_fraction * static_cast<double>(n)));
     k = std::min(n, std::max<std::size_t>(1, k));
-    std::vector<std::uint32_t> idx(n);
-    for (std::size_t j = 0; j < n; ++j) idx[j] = static_cast<std::uint32_t>(j);
-    // Largest |delta| first, ties to the lower index — a total order, so
-    // the kept set is deterministic.
-    const auto by_magnitude = [&](std::uint32_t a, std::uint32_t b) {
-      const float aa = std::fabs(delta[a]);
-      const float ab = std::fabs(delta[b]);
-      if (aa != ab) return aa > ab;
-      return a < b;
-    };
-    if (k < n)
-      std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                       idx.end(), by_magnitude);
-    idx.resize(k);
-    std::sort(idx.begin(), idx.end());
+    std::vector<std::uint32_t> idx(k);
     std::vector<float> vals(k);
-    for (std::size_t j = 0; j < k; ++j) vals[j] = delta[idx[j]];
+    select_top_k(delta, k, idx.data(), vals.data());
     float scale = 1.0f;
     if (enc == WireEncoding::kInt8)
       scale = int8_scale(kf.absmax(vals.data(), k).max_abs);

@@ -22,6 +22,7 @@
 // tail is silently overwritten by the next append.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -78,7 +79,10 @@ class Wal {
 
   std::string path_;
   int fd_ = -1;
-  std::uint64_t cursor_ = 0;  // append offset = end of valid prefix
+  // Append offset = end of valid prefix. Atomic so size_bytes() may be
+  // read while another thread appends or resets (a snapshot install
+  // running behind the next round).
+  std::atomic<std::uint64_t> cursor_ = 0;
 };
 
 }  // namespace dinar::store

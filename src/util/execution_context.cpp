@@ -19,7 +19,7 @@ void ExecutionContext::parallel_for(
   if (n <= 0) return;
   const std::int64_t min_chunk = static_cast<std::int64_t>(
       std::max<std::size_t>(1, grain == 0 ? config_.grain : grain));
-  if (pool_ == nullptr || ThreadPool::on_worker_thread() || n <= min_chunk) {
+  if (pool_ == nullptr || n <= min_chunk) {
     fn(0, n);
     return;
   }
@@ -29,11 +29,18 @@ void ExecutionContext::parallel_for(
   const std::int64_t chunks =
       std::min<std::int64_t>(max_chunks, static_cast<std::int64_t>(threads_));
   const std::int64_t chunk = (n + chunks - 1) / chunks;
-  pool_->parallel_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
+  const std::function<void(std::size_t)> run_chunk = [&](std::size_t c) {
     const std::int64_t begin = static_cast<std::int64_t>(c) * chunk;
     const std::int64_t end = std::min(n, begin + chunk);
     if (begin < end) fn(begin, end);
-  });
+  };
+  if (ThreadPool::on_worker_thread()) {
+    // Nested section: idle workers join in on the same chunks; with none
+    // idle it runs inline.
+    if (!pool_->parallel_for_nested(static_cast<std::size_t>(chunks), run_chunk)) fn(0, n);
+    return;
+  }
+  pool_->parallel_for(static_cast<std::size_t>(chunks), run_chunk);
 }
 
 std::future<void> ExecutionContext::submit(std::function<void()> fn) const {

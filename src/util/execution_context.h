@@ -35,11 +35,6 @@ struct ExecConfig {
   // Minimum indices per parallel_for chunk when the caller does not pass
   // its own grain; keeps tiny loops from paying scheduling overhead.
   std::size_t grain = 1024;
-  // Reserved knob: every kernel is bit-identical across thread counts by
-  // construction, so this currently only documents intent. A future
-  // non-deterministic fast path (atomic reductions, work stealing) must
-  // check it before reordering any floating-point reduction.
-  bool deterministic = true;
 };
 
 class ExecutionContext {
@@ -52,24 +47,26 @@ class ExecutionContext {
 
   // Splits [0, n) into contiguous chunks of at least max(grain,
   // config().grain) indices and runs fn(begin, end) across the pool,
-  // waiting for completion. Runs inline when sequential, when the range is
-  // a single chunk, or when called from a pool worker (nested parallelism
-  // degrades to sequential instead of deadlocking). The lowest-index
-  // chunk's exception is rethrown.
+  // waiting for completion. Runs inline when sequential or when the range
+  // is a single chunk. Called from a pool worker (a nested section), it
+  // keeps the same chunks: the calling worker runs them while idle workers
+  // claim the rest, and it waits only for chunks already claimed, so it
+  // cannot deadlock. With no worker idle it runs fn(0, n) inline. The
+  // lowest-index chunk's exception is rethrown.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t, std::int64_t)>& fn,
                     std::size_t grain = 0) const;
 
   // Runs fn(i) for each i in [0, n), one pool task per index — the
   // round-level granularity where each task is one client's whole
-  // exchange. Same inline/nesting rules as parallel_for; the lowest-index
-  // exception is rethrown.
+  // exchange. Runs inline when sequential, for a single task, or when
+  // called from a pool worker; the lowest-index exception is rethrown.
   void for_each_task(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   // Schedules one task on the pool and returns a future for its
   // completion/exception. Runs fn inline (returning an already-resolved
-  // future) when sequential or when called from a pool worker — same
-  // degradation rule as the fan-out primitives, so a submit can never
+  // future) when sequential or when called from a pool worker — the
+  // for_each_task rule, so a submit can never
   // deadlock on a saturated queue. This is the seam the streaming round
   // pipeline uses to treat each client exchange as an independent event
   // and to overlap next-round downlink serialization with commit work.

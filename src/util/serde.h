@@ -62,8 +62,7 @@ class BinaryWriter {
  private:
   void append(const void* data, std::size_t n) {
     if (n == 0) return;  // empty spans may come with a null pointer
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    std::memcpy(extend(n), data, n);
   }
 
   std::vector<std::uint8_t> buf_;

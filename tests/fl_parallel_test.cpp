@@ -3,8 +3,8 @@
 // Covers the three layers of the engine:
 //  - ThreadPool: worker-exception propagation (regression: exceptions used
 //    to strand parallel_for callers);
-//  - ExecutionContext: chunk coverage, inline fallbacks, nested sections,
-//    deterministic lowest-index error surfacing;
+//  - ExecutionContext: chunk coverage, inline fallbacks, nested sections
+//    joined by idle workers, deterministic lowest-index error surfacing;
 //  - determinism suite: a federation with faults + Byzantine attackers +
 //    membership churn run sequentially and with a 4-thread context must
 //    produce byte-identical RoundOutcome logs, history records and final
@@ -12,9 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fl/simulation.h"
@@ -115,24 +120,113 @@ TEST(ExecutionContextTest, LowestChunkExceptionSurfaces) {
   }
 }
 
-TEST(ExecutionContextTest, NestedParallelSectionsRunInline) {
+TEST(ExecutionContextTest, NestedParallelSectionsNeverDeadlock) {
   ExecConfig cfg;
   cfg.threads = 4;
   ExecutionContext exec(cfg);
   // An outer per-task section whose body opens another parallel section
-  // must not deadlock on the saturated queue; the inner one runs inline.
+  // must not deadlock on the saturated queue. Inner chunks may run on
+  // other workers, so each index writes its own slot.
   std::vector<std::int64_t> totals(8, 0);
   exec.for_each_task(8, [&](std::size_t t) {
-    std::int64_t local = 0;
+    std::vector<std::int64_t> slots(100, 0);
     exec.parallel_for(
         100,
         [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) local += i;
+          for (std::int64_t i = i0; i < i1; ++i) slots[static_cast<std::size_t>(i)] = i;
         },
         /*grain=*/1);
-    totals[t] = local;
+    for (const std::int64_t v : slots) totals[t] += v;
   });
   for (const std::int64_t t : totals) EXPECT_EQ(t, 4950);
+}
+
+// A nested section of four one-index chunks opened by the pool's only busy
+// worker: each chunk sleeps a little, records the thread that ran it and
+// then calls `body`. Retried until at least two threads took part (the
+// other workers may still be starting up and not yet parked idle).
+struct NestedRun {
+  std::vector<std::thread::id> ran_on;
+  std::string error;  // what the section threw, empty if nothing
+  std::size_t threads() const {
+    return std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size();
+  }
+};
+
+NestedRun run_nested_section(const ExecutionContext& exec,
+                             const std::function<void(std::int64_t)>& body) {
+  NestedRun run;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    run.ran_on.assign(4, std::thread::id{});
+    run.error.clear();
+    // The error is caught on the worker that opened the section, so no
+    // exception object crosses the future.
+    exec.submit([&] {
+          try {
+            exec.parallel_for(
+                4,
+                [&](std::int64_t i0, std::int64_t i1) {
+                  for (std::int64_t i = i0; i < i1; ++i) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                    run.ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+                    body(i);
+                  }
+                },
+                /*grain=*/1);
+          } catch (const std::exception& e) {
+            run.error = e.what();
+          }
+        })
+        .get();
+    if (run.threads() >= 2) break;
+  }
+  return run;
+}
+
+TEST(ExecutionContextTest, IdleWorkersJoinANestedSection) {
+  ExecConfig cfg;
+  cfg.threads = 4;
+  ExecutionContext exec(cfg);
+  const NestedRun run = run_nested_section(exec, [](std::int64_t) {});
+  EXPECT_TRUE(run.error.empty()) << run.error;
+  for (const std::thread::id id : run.ran_on) {
+    EXPECT_NE(id, std::thread::id{}) << "a chunk never ran";
+    EXPECT_NE(id, std::this_thread::get_id()) << "a chunk ran off the pool";
+  }
+  EXPECT_GE(run.threads(), 2u);
+}
+
+TEST(ExecutionContextTest, NestedHelperExceptionSurfacesLowestIndexFirst) {
+  ExecConfig cfg;
+  cfg.threads = 4;
+  ExecutionContext exec(cfg);
+  // Every chunk throws and at least two threads ran them: the caller sees
+  // chunk 0's error whichever thread ran it.
+  const NestedRun all = run_nested_section(exec, [](std::int64_t i) {
+    throw std::runtime_error("chunk " + std::to_string(i));
+  });
+  EXPECT_GE(all.threads(), 2u);
+  EXPECT_EQ(all.error, "chunk 0");
+  // Chunks 2 and 3 throw: the lower one surfaces, and the chunks that
+  // did not throw still all ran.
+  const NestedRun some = run_nested_section(exec, [](std::int64_t i) {
+    if (i >= 2) throw std::runtime_error("chunk " + std::to_string(i));
+  });
+  EXPECT_GE(some.threads(), 2u);
+  EXPECT_EQ(some.error, "chunk 2");
+  for (const std::thread::id id : some.ran_on) EXPECT_NE(id, std::thread::id{});
+  // The pool stays usable.
+  std::atomic<int> sum{0};
+  exec.for_each_task(8, [&](std::size_t i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum.load(), 28);
+}
+
+TEST(ThreadPoolTest, NestedFormRunsNothingOffThePool) {
+  ThreadPool pool(2);
+  int runs = 0;
+  EXPECT_FALSE(pool.parallel_for_nested(4, [&](std::size_t) { ++runs; }));
+  EXPECT_EQ(runs, 0);
 }
 
 // --------------------------------------------- gemm thread-count identity --
@@ -172,6 +266,38 @@ TEST(GemmParallelTest, BitIdenticalForAnyThreadCountAllTransCombos) {
                     gemm(Trans::kN, Trans::kT, a, bt, nullptr));
   expect_bits_equal(gemm(Trans::kT, Trans::kT, at, bt, &exec),
                     gemm(Trans::kT, Trans::kT, at, bt, nullptr));
+}
+
+TEST(GemmParallelTest, BitIdenticalUnderNestedFanOut) {
+  // gemm called from pool workers (one busy worker, then two) has its
+  // B-packing and row-block loops joined by the idle workers; every
+  // output bit must match the sequential kernel.
+  Rng rng(99);
+  Tensor a({70, 53});
+  Tensor b({53, 66});
+  for (float& v : a.values()) v = static_cast<float>(rng.gaussian());
+  for (float& v : b.values()) v = static_cast<float>(rng.gaussian());
+  const Tensor want = gemm(Trans::kN, Trans::kN, a, b, nullptr);
+
+  ExecConfig cfg;
+  cfg.threads = 4;
+  cfg.grain = 1;
+  ExecutionContext exec(cfg);
+  const auto bits_equal = [&](const Tensor& got) {
+    return got.shape() == want.shape() &&
+           std::memcmp(got.values().data(), want.values().data(),
+                       want.values().size() * sizeof(float)) == 0;
+  };
+  for (int rep = 0; rep < 5; ++rep) {
+    Tensor one;
+    exec.submit([&] { one = gemm(Trans::kN, Trans::kN, a, b, &exec); }).get();
+    EXPECT_TRUE(bits_equal(one)) << "one busy worker, rep " << rep;
+    std::vector<Tensor> two(2);
+    exec.for_each_task(2, [&](std::size_t t) {
+      two[t] = gemm(Trans::kN, Trans::kN, a, b, &exec);
+    });
+    EXPECT_TRUE(bits_equal(two[0]) && bits_equal(two[1])) << "two busy workers, rep " << rep;
+  }
 }
 
 // ------------------------------------------------------- model ownership --

@@ -266,8 +266,9 @@ TEST(ShardSessionTest, InterleavedArrivalsMatchThePerShardOracleBitwise) {
       EXPECT_EQ(interleaved, shards > 1) << shards << " shards";
 
       const OracleResult oracle = per_shard_oracle(*agg, arrivals, global, cfg);
-      if (shards == 1 && name != "fedavg")
+      if (shards == 1 && name != "fedavg") {
         EXPECT_FALSE(oracle.result.flags.empty()) << name << " should flag an attacker";
+      }
       for (const unsigned threads : {0u, 4u}) {
         const std::string cell = name + " / " + std::to_string(shards) +
                                  " shards / " + std::to_string(threads) + " threads";

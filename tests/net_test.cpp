@@ -69,7 +69,9 @@ TEST(FrameReaderTest, ByteByByteFeedYieldsTheFrame) {
   for (std::size_t i = 0; i < framed.size(); ++i) {
     const bool last = i + 1 == framed.size();
     r.feed(&framed[i], 1);
-    if (!last) EXPECT_FALSE(r.next().has_value()) << "premature frame at byte " << i;
+    if (!last) {
+      EXPECT_FALSE(r.next().has_value()) << "premature frame at byte " << i;
+    }
   }
   const auto got = r.next();
   ASSERT_TRUE(got.has_value());
@@ -302,6 +304,28 @@ TEST(TcpTest, CorruptFrameEvictsWithBadChecksum) {
   ASSERT_TRUE(client.send_raw(framed));
   ASSERT_TRUE(
       eventually([&] { return echo.server.stats().evicted_bad_checksum == 1; }));
+}
+
+TEST(TcpTest, OversizeDecodedFrameEvictsByName) {
+  // A checksum-valid frame whose v3 payload declares a decoded arena over
+  // the cap (the decompression-bomb guard) is evicted under its own
+  // reason, not as an orderly peer close.
+  EchoServer echo;
+  std::atomic<int> evictions{0};
+  std::atomic<int> last_reason{-1};
+  echo.server.set_disconnect_handler([&](int, EvictReason reason) {
+    last_reason = static_cast<int>(reason);
+    ++evictions;
+  });
+  TcpClient client(client_config(echo.server.port()));
+  ASSERT_TRUE(client.ensure_connected());
+  ASSERT_TRUE(client.send_raw(frame(v3_message_payload(1ull << 40))));
+  ASSERT_TRUE(eventually([&] { return evictions.load() == 1; }));
+  EXPECT_EQ(last_reason.load(), static_cast<int>(EvictReason::kOversizeDecoded));
+  EXPECT_STREQ(to_string(EvictReason::kOversizeDecoded), "oversize_decoded");
+  EXPECT_EQ(echo.server.stats().evicted_oversize_decoded, 1u);
+  EXPECT_EQ(echo.server.stats().evicted_peer_closed, 0u);
+  EXPECT_EQ(echo.server.stats().protocol_errors(), 1u);
 }
 
 TEST(TcpTest, ClientReconnectsAfterEviction) {

@@ -610,6 +610,144 @@ TEST(DurableSimTest, SnapshotPlusWalWithEvalsRecoversBitIdentical) {
   EXPECT_EQ(recovered.history().size(), reference.history().size());
 }
 
+// A snapshot round returns with its install still running on its own
+// thread. Detaching the store, destroying the simulation, or moving it and
+// running on must each leave the store exactly as a synchronous install
+// would have.
+TEST(DurableSimTest, SnapshotInstallInFlightIsJoinedByDetachDestroyAndMove) {
+  fl::FederatedSimulation reference = make_durable_sim(4);
+  reference.run_round();
+  reference.run_round();
+  const std::vector<std::uint8_t> at_round_2 = full_state(reference);
+  reference.run_round();
+  const std::vector<std::uint8_t> at_round_3 = full_state(reference);
+
+  const auto recovered_state = [](const std::string& dir) {
+    store::RoundStore s(dir);
+    fl::FederatedSimulation sim = make_durable_sim(4);
+    sim.attach_store(&s, 2);
+    sim.recover_from_store();
+    return full_state(sim);
+  };
+  // Round 2's snapshot is installed and the WAL compacted behind it, plus
+  // `records` later round records.
+  const auto expect_compacted_at_round_2 = [](const store::RoundStore& s,
+                                              std::size_t records) {
+    const store::RoundStore::Recovered rec = s.recover();
+    EXPECT_EQ(rec.snapshot_round, 2);
+    EXPECT_EQ(rec.wal_records.size(), records);
+  };
+  const auto two_rounds = [](store::RoundStore& s) {
+    fl::FederatedSimulation sim = make_durable_sim(4);
+    sim.attach_store(&s, /*snapshot_every=*/2);
+    sim.run_round();
+    sim.run_round();  // snapshot round: the install runs behind it
+    return sim;
+  };
+
+  const std::string detach_dir = fresh_dir("bg_detach") + "/store";
+  {
+    store::RoundStore s(detach_dir);
+    fl::FederatedSimulation sim = two_rounds(s);
+    sim.attach_store(nullptr);
+    expect_compacted_at_round_2(s, 0);
+  }
+  EXPECT_EQ(recovered_state(detach_dir), at_round_2);
+
+  const std::string destroy_dir = fresh_dir("bg_destroy") + "/store";
+  {
+    store::RoundStore s(destroy_dir);
+    { fl::FederatedSimulation sim = two_rounds(s); }
+    expect_compacted_at_round_2(s, 0);
+  }
+  EXPECT_EQ(recovered_state(destroy_dir), at_round_2);
+
+  const std::string move_dir = fresh_dir("bg_move") + "/store";
+  {
+    store::RoundStore s(move_dir);
+    fl::FederatedSimulation sim = two_rounds(s);
+    fl::FederatedSimulation moved(std::move(sim));
+    moved.run_round();  // joins the install it took over, then commits
+    expect_compacted_at_round_2(s, 1);
+  }
+  EXPECT_EQ(recovered_state(move_dir), at_round_3);
+
+  const std::string move_assign_dir = fresh_dir("bg_move_assign") + "/store";
+  {
+    store::RoundStore s(move_assign_dir);
+    fl::FederatedSimulation target = make_durable_sim(4);
+    target = two_rounds(s);
+    { fl::FederatedSimulation gone(std::move(target)); }
+    expect_compacted_at_round_2(s, 0);
+  }
+  EXPECT_EQ(recovered_state(move_assign_dir), at_round_2);
+}
+
+// Eight clients, two selected per round: a round record carries two
+// clients' state and a snapshot all eight, so one snapshot outweighs the
+// WAL records before it.
+fl::FederatedSimulation make_wide_sim() {
+  fl::SimulationConfig cfg = durable_config(4);
+  cfg.client_fraction = 0.25;
+  cfg.min_clients = 1;
+  return fl::FederatedSimulation(tiny_mlp_factory(2, 2), easy_split(8, 400, 11), cfg,
+                                 fl::DefenseBundle{});
+}
+
+// The install of round 2's snapshot fails (EFBIG) on its own thread; the
+// error surfaces, with the snapshot's text, from the next store operation
+// (round 3's commit), and rounds 1 and 2 stay intact in the WAL.
+TEST(DurableSimTest, FailedSnapshotInstallSurfacesFromTheNextStoreOperation) {
+  const std::string base = fresh_dir("bg_efbig");
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        // Sizes from an identical run that never compacts.
+        std::uint64_t wal_bytes = 0;
+        std::vector<std::uint8_t> at_round_2;
+        {
+          store::RoundStore dry_store(base + "/dry");
+          fl::FederatedSimulation dry = make_wide_sim();
+          dry.attach_store(&dry_store, 100);
+          dry.run_round();
+          dry.run_round();
+          wal_bytes = dry_store.wal_size_bytes();
+          at_round_2 = full_state(dry);
+        }
+        if (wal_bytes + 256 >= at_round_2.size()) std::exit(2);  // no room to fail
+
+        store::RoundStore s(base + "/store");
+        fl::FederatedSimulation sim = make_wide_sim();
+        sim.attach_store(&s, /*snapshot_every=*/2);
+        sim.run_round();
+        rlimit saved{};
+        ::getrlimit(RLIMIT_FSIZE, &saved);
+        rlimit tight = saved;
+        // Round 2's WAL record fits; its snapshot does not.
+        tight.rlim_cur = (wal_bytes + at_round_2.size()) / 2;
+        ::setrlimit(RLIMIT_FSIZE, &tight);
+        sim.run_round();
+        std::string error;
+        try {
+          sim.run_round();
+        } catch (const Error& e) {
+          error = e.what();
+        }
+        ::setrlimit(RLIMIT_FSIZE, &saved);
+        const bool named = error.find("snapshot-000000000002.snap") != std::string::npos &&
+                           error.find("failed") != std::string::npos;
+
+        const store::RoundStore::Recovered rec = s.recover();
+        const bool intact = rec.snapshot_round == -1 && rec.wal_records.size() == 2;
+        fl::FederatedSimulation recovered = make_wide_sim();
+        recovered.attach_store(&s, 2);
+        const bool same =
+            recovered.recover_from_store() == 2 && full_state(recovered) == at_round_2;
+        std::exit(named ? (intact && same ? 0 : 4) : 3);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 // A crash between the WAL append and its acknowledgment makes the writer
 // re-append the same round on restart; replay must dedupe by round.
 TEST(DurableSimTest, DuplicateRoundRecordsAreDeduped) {

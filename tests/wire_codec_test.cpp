@@ -12,15 +12,19 @@
 // socket transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fl/message.h"
 #include "fl/simulation.h"
 #include "fl/wire_codec.h"
 #include "nn/flat_params.h"
+#include "tensor/codec_kernels.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/serde.h"
@@ -327,6 +331,172 @@ TEST(WireCodecTest, SparseInt8RoundTripsThroughScaledDeltas) {
     EXPECT_GE(d, lo);
     EXPECT_LE(d, hi);
   }
+}
+
+// ------------------------------------------- top-k selection, pinned bytes --
+
+// The sparse v3 body as the codec wrote it before its linear-time top-k:
+// nth_element on (|delta| descending, ties to the lower index), then a sort
+// of the kept indices. Kept here as the reference the radix select must
+// match byte for byte. All deltas must be finite and no entry obfuscated.
+std::vector<std::uint8_t> reference_sparse_body(const nn::FlatParams& p,
+                                                const nn::FlatParams& ref,
+                                                fl::WireEncoding enc, double fraction) {
+  const auto& kf = detail::codec_kernel_fns();
+  BinaryWriter w;
+  nn::write_layer_index(w, *p.index());
+  for (std::size_t i = 0; i < p.index()->num_entries(); ++i) {
+    const std::span<const float> span = p.entry_span(i);
+    const std::span<const float> base = ref.entry_span(i);
+    const std::size_t n = span.size();
+    std::vector<float> delta(n);
+    for (std::size_t j = 0; j < n; ++j) delta[j] = span[j] - base[j];
+    std::size_t k =
+        static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(n)));
+    k = std::min(n, std::max<std::size_t>(1, k));
+    std::vector<std::uint32_t> idx(n);
+    for (std::size_t j = 0; j < n; ++j) idx[j] = static_cast<std::uint32_t>(j);
+    const auto by_magnitude = [&](std::uint32_t a, std::uint32_t b) {
+      const float aa = std::fabs(delta[a]);
+      const float ab = std::fabs(delta[b]);
+      if (aa != ab) return aa > ab;
+      return a < b;
+    };
+    if (k < n)
+      std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
+                       idx.end(), by_magnitude);
+    idx.resize(k);
+    std::sort(idx.begin(), idx.end());
+    std::vector<float> vals(k);
+    for (std::size_t j = 0; j < k; ++j) vals[j] = delta[idx[j]];
+    w.write_u8(static_cast<std::uint8_t>(enc));
+    w.write_u8(1);  // sparse
+    float scale = 1.0f;
+    if (enc == fl::WireEncoding::kInt8) {
+      scale = kf.absmax(vals.data(), k).max_abs / 127.0f;
+      if (!(scale > 0.0f)) scale = 1.0f;
+      w.write_f32(scale);
+    }
+    w.write_u64(k);
+    w.write_bytes(idx.data(), k * sizeof(std::uint32_t));
+    if (enc == fl::WireEncoding::kF32) {
+      w.write_bytes(vals.data(), k * sizeof(float));
+    } else if (enc == fl::WireEncoding::kF16) {
+      std::vector<std::uint16_t> packed(k);
+      kf.pack_f16(vals.data(), k, packed.data());
+      w.write_bytes(packed.data(), k * sizeof(std::uint16_t));
+    } else {
+      std::vector<std::int8_t> packed(k);
+      kf.pack_i8(vals.data(), k, 1.0f / scale, packed.data());
+      w.write_bytes(packed.data(), k);
+    }
+  }
+  return w.buffer();
+}
+
+std::vector<std::uint8_t> sparse_body(const nn::FlatParams& p, const nn::FlatParams& ref,
+                                      fl::WireEncoding enc, double fraction) {
+  BinaryWriter w;
+  fl::write_flat_params_v3(w, p, codec_of(enc, fraction), &ref);
+  return w.buffer();
+}
+
+// One entry of n coordinates: the reference is `base`, the update adds
+// `delta` on top.
+std::pair<nn::FlatParams, nn::FlatParams> entry_with_delta(const std::vector<float>& base,
+                                                           const std::vector<float>& delta) {
+  std::vector<Tensor> rt{Tensor({static_cast<std::int64_t>(base.size())}, base)};
+  nn::FlatParams ref = nn::FlatParams::from_tensors(rt);
+  nn::FlatParams p = ref;
+  for (std::size_t i = 0; i < delta.size(); ++i) p.as_span()[i] = base[i] + delta[i];
+  return {std::move(p), std::move(ref)};
+}
+
+TEST(WireCodecTest, TopKSelectionMatchesNthElementReferenceByteForByte) {
+  Rng rng(2024);
+  struct Case {
+    std::string name;
+    std::vector<float> base, delta;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 97u, 1000u, 4099u}) {
+    Case random{"random", {}, {}}, ties{"quantized ties", {}, {}},
+        sparse{"mostly zero", {}, {}}, zeros{"signed zeros", {}, {}};
+    for (std::size_t j = 0; j < n; ++j) {
+      const float b = static_cast<float>(rng.gaussian());
+      const float g = static_cast<float>(rng.gaussian());
+      random.base.push_back(b);
+      random.delta.push_back(g * 0.01f);
+      // Deltas on a coarse grid: long runs of equal magnitudes of both
+      // signs, so the threshold falls inside a tie.
+      ties.base.push_back(0.0f);
+      ties.delta.push_back(std::round(g * 2.0f) * 0.25f);
+      sparse.base.push_back(b);
+      sparse.delta.push_back(rng.uniform() < 0.05 ? g : 0.0f);
+      // +0 and -0 deltas (ref 0, update -0 or +0) tie as magnitude 0, with
+      // a few tiny and subnormal magnitudes above them.
+      zeros.base.push_back(0.0f);
+      const double u = rng.uniform();
+      zeros.delta.push_back(u < 0.4   ? -0.0f
+                            : u < 0.8 ? 0.0f
+                            : u < 0.9 ? std::numeric_limits<float>::denorm_min() * 3
+                                      : -1e-30f);
+    }
+    for (Case* c : {&random, &ties, &sparse, &zeros}) {
+      c->name += " n=" + std::to_string(n);
+      cases.push_back(*c);
+    }
+  }
+  int frames = 0;
+  for (const Case& c : cases) {
+    const auto [p, ref] = entry_with_delta(c.base, c.delta);
+    const double n = static_cast<double>(c.base.size());
+    std::vector<std::pair<std::string, double>> fractions{{"k=1", 0.5 / n},
+                                                          {"fraction 0.1", 0.1}};
+    if (c.base.size() >= 2) fractions.emplace_back("k=n-1", (n - 1.5) / n);
+    for (const auto& [label, fraction] : fractions) {
+      for (const fl::WireEncoding enc :
+           {fl::WireEncoding::kF32, fl::WireEncoding::kF16, fl::WireEncoding::kInt8}) {
+        EXPECT_EQ(sparse_body(p, ref, enc, fraction),
+                  reference_sparse_body(p, ref, enc, fraction))
+            << c.name << ", " << label << ", " << fl::wire_encoding_name(enc);
+        ++frames;
+      }
+    }
+  }
+  EXPECT_GE(frames, 300);
+
+  // Several entries in one arena select independently.
+  std::vector<Tensor> tensors{Tensor::gaussian({16, 9}, rng), Tensor::gaussian({9}, rng),
+                              Tensor::gaussian({1}, rng), Tensor::gaussian({9, 4}, rng)};
+  const nn::FlatParams ref = nn::FlatParams::from_tensors(tensors);
+  nn::FlatParams p = ref;
+  for (float& v : p.as_span()) v += std::round(static_cast<float>(rng.gaussian()) * 3.0f) * 0.5f;
+  for (const double fraction : {0.05, 0.1, 0.5, 0.9})
+    EXPECT_EQ(sparse_body(p, ref, fl::WireEncoding::kInt8, fraction),
+              reference_sparse_body(p, ref, fl::WireEncoding::kInt8, fraction))
+        << "multi-entry, fraction " << fraction;
+}
+
+TEST(WireCodecTest, SparseFrameMatchesGoldenBytes) {
+  // Eight coordinates, keep ceil(0.5 * 8) = 4 as f32 deltas: |-7| at 5 and
+  // |5| at 1, then the three-way tie at |3| (indices 2, 4, 6) keeps the two
+  // lowest indices.
+  const auto [p, ref] = entry_with_delta({1, 2, 3, 4, 5, 6, 7, 8},
+                                         {0.0f, 5.0f, -3.0f, 0.5f, 3.0f, -7.0f, 3.0f, 0.0f});
+  const std::vector<std::uint8_t> body = sparse_body(p, ref, fl::WireEncoding::kF32, 0.5);
+  std::string hex;
+  for (const std::uint8_t b : body) {
+    static const char* kDigits = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  // Layer index (one entry "entry0", shape [8]), then the run: f32, sparse,
+  // k = 4, indices 1 2 4 5, deltas 5 -3 3 -7.
+  EXPECT_EQ(hex,
+            "01000000000000000600000000000000656e7472793000000000000100000000"
+            "000000080000000000000000010400000000000000010000000200000004000000"
+            "050000000000a040000040c0000040400000e0c0");
 }
 
 // --------------------------------------------- corruption & compatibility --
