@@ -12,17 +12,18 @@
 // written to BENCH_FAULTS.json for machine consumption.
 //
 // The second section benchmarks crash recovery: after a kill at `delta`
-// rounds past the last durable point, the old resume path reloads a full
-// checkpoint and *re-executes* the lost rounds (re-training included),
-// while the durable round store replays `delta` O(changed-state) WAL
-// records on top of its snapshot — bit-identical by construction. Rows go
-// to BENCH_RECOVERY.json; the gate (enforced in every mode, so the smoke
-// run guards CI) requires bit-identical recovery on every row and WAL
-// replay beating re-execution at the largest delta.
+// rounds past the last durable point, the baseline restores the full state
+// captured at that point (the store's own snapshot format) and
+// *re-executes* the lost rounds (re-training included), while the durable
+// round store replays `delta` O(changed-state) WAL records on top of its
+// snapshot. Both paths are bit-identical by construction. Rows go to
+// BENCH_RECOVERY.json; the gate (enforced in every mode, so the smoke run
+// guards CI) requires both paths to reproduce the pre-kill state bit for
+// bit on every row and WAL replay to beat re-execution at the largest
+// delta.
 #include <chrono>
 #include <filesystem>
 
-#include "fl/durable.h"
 #include "store/round_store.h"
 #include "harness/experiment.h"
 
@@ -104,12 +105,26 @@ std::vector<std::uint8_t> full_state_bytes(const fl::FederatedSimulation& sim) {
   return w.take();
 }
 
+// Compares a recovered full state against the uninterrupted run's and
+// reports where it first diverges.
+bool matches_reference(const std::vector<std::uint8_t>& got,
+                       const std::vector<std::uint8_t>& reference, const char* path) {
+  if (got == reference) return true;
+  std::size_t diff = 0;
+  while (diff < std::min(got.size(), reference.size()) && got[diff] == reference[diff])
+    ++diff;
+  std::printf("  [%s diverged: sizes %zu vs %zu, first difference at byte %zu]\n", path,
+              got.size(), reference.size(), diff);
+  return false;
+}
+
 // One row: kill `delta` rounds past the last snapshot, then recover both
-// ways. Returns false if the gate fails. Bit-identical recovery is required
-// for every row; `require_speedup` additionally demands replay beat the
-// re-execution path — asserted only at the largest delta, where replay's
-// fixed snapshot-load cost is amortised (at delta=1 on the smoke-sized model
-// the snapshot load alone can exceed one round of re-training).
+// ways. Returns false if the gate fails. Bit-identical recovery (by replay
+// and by re-execution) is required for every row; `require_speedup`
+// additionally demands replay beat the re-execution path — asserted only at
+// the largest delta, where replay's fixed snapshot-load cost is amortised
+// (at delta=1 on the smoke-sized model the snapshot load alone can exceed
+// one round of re-training).
 bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
                       unsigned threads, BenchJson& json) {
   namespace fs = std::filesystem;
@@ -123,8 +138,8 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
   // recovery does not treat the resume point as the finished run (which
   // would trigger the final-eval recompute the writer never reached).
   const int config_rounds = rounds + 1;
-  const std::string ckpt = dir + "/legacy.ckpt";
 
+  std::vector<std::uint8_t> durable_state;  // full state at the durable point
   std::vector<std::uint8_t> reference;
   std::uint64_t wal_bytes = 0;
   {
@@ -133,9 +148,9 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
     sim.attach_store(&store, snapshot_every);
     for (int r = 0; r < rounds; ++r) {
       sim.run_round();
-      // The pre-store resume path would have a full checkpoint from the
-      // same durable point the snapshot captures.
-      if (r + 1 == snapshot_every) sim.save_checkpoint(ckpt);
+      // The re-execution baseline starts from the same durable point the
+      // snapshot captures.
+      if (r + 1 == snapshot_every) durable_state = full_state_bytes(sim);
     }
     reference = full_state_bytes(sim);
     wal_bytes = store.wal_size_bytes();
@@ -149,38 +164,34 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
   replayed.recover_from_store();
   const double replay_s = seconds_since(t0);
   const std::vector<std::uint8_t> recovered = full_state_bytes(replayed);
-  const bool bit_identical = recovered == reference;
-  if (!bit_identical) {
-    std::size_t diff = 0;
-    while (diff < std::min(recovered.size(), reference.size()) &&
-           recovered[diff] == reference[diff])
-      ++diff;
-    std::printf("  [diverged: sizes %zu vs %zu, first difference at byte %zu]\n",
-                recovered.size(), reference.size(), diff);
-  }
+  const bool bit_identical = matches_reference(recovered, reference, "replay");
 
-  // Full-reload path: load the checkpoint, re-execute the lost rounds
-  // (local training and all).
+  // Re-execution path: restore the durable point's full state, re-execute
+  // the lost rounds (local training and all).
   fl::FederatedSimulation reloaded = make_recovery_sim(spec, config_rounds, threads);
   const auto t1 = std::chrono::steady_clock::now();
-  reloaded.restore_checkpoint(ckpt);
+  BinaryReader durable_reader(durable_state);
+  reloaded.restore_full_state(durable_reader);
   for (int r = 0; r < delta; ++r) reloaded.run_round();
   const double rerun_s = seconds_since(t1);
+  const bool rerun_identical =
+      matches_reference(full_state_bytes(reloaded), reference, "re-execution");
 
   print_table_row(std::to_string(delta),
                   {1e3 * replay_s, 1e3 * rerun_s, rerun_s / replay_s,
                    static_cast<double>(wal_bytes) / 1024.0,
-                   bit_identical ? 1.0 : 0.0});
+                   bit_identical ? 1.0 : 0.0, rerun_identical ? 1.0 : 0.0});
   json.begin_row()
       .field("case", spec.name)
       .field("delta_rounds", static_cast<std::int64_t>(delta))
       .field("wal_replay_seconds", replay_s)
-      .field("full_reload_rerun_seconds", rerun_s)
+      .field("full_state_rerun_seconds", rerun_s)
       .field("speedup", rerun_s / replay_s)
       .field("wal_bytes", static_cast<std::int64_t>(wal_bytes))
-      .field("bit_identical", static_cast<std::int64_t>(bit_identical ? 1 : 0));
+      .field("bit_identical", static_cast<std::int64_t>(bit_identical ? 1 : 0))
+      .field("rerun_bit_identical", static_cast<std::int64_t>(rerun_identical ? 1 : 0));
   fs::remove_all(dir);
-  return bit_identical && (!require_speedup || replay_s < rerun_s);
+  return bit_identical && rerun_identical && (!require_speedup || replay_s < rerun_s);
 }
 
 int run(int argc, char** argv) {
@@ -226,13 +237,13 @@ int run(int argc, char** argv) {
               "only once drop+crash outpaces min_clients (= clients/3).\n");
   json.write();
 
-  // ---- crash recovery: full-reload re-execution vs O(delta) WAL replay ----
+  // ---- crash recovery: full-state re-execution vs O(delta) WAL replay ----
   print_header("Crash recovery — resume cost at delta rounds past the last "
                "durable point",
                "durable round store; recovery is bit-identical by contract");
   BenchJson recovery_json("recovery");
   print_table_header("delta", {"replay ms", "rerun ms", "speedup", "wal KiB",
-                               "identical"});
+                               "identical", "rerun ident"});
   const std::vector<int> deltas =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
   bool gate_ok = true;
@@ -245,12 +256,12 @@ int run(int argc, char** argv) {
   }
   std::printf("\nexpected: WAL replay deserializes the lost rounds' deltas "
               "instead of re-training them, so the speedup grows with delta; "
-              "the recovered state is bit-identical to the pre-kill run.\n");
+              "both recovered states are bit-identical to the pre-kill run.\n");
   recovery_json.write();
   if (!gate_ok) {
-    std::printf("GATE FAILED: recovery must be bit-identical on every row and "
-                "WAL replay must beat full-reload re-execution at the largest "
-                "delta\n");
+    std::printf("GATE FAILED: replay and re-execution must both be bit-identical "
+                "on every row and WAL replay must beat full-state re-execution at "
+                "the largest delta\n");
     return 1;
   }
   return 0;

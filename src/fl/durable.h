@@ -17,10 +17,10 @@
 //
 //  - Full-state snapshot ("DFST"): the complete simulation state the WAL
 //    records patch — server, all clients, both logs, all counters. The
-//    store compacts the WAL onto one of these periodically. A legacy DCKP
-//    checkpoint (global model + round only) is also accepted as a snapshot
-//    payload: recovery detects the magic and falls back to the
-//    server-only restore path.
+//    store compacts the WAL onto one of these periodically. It is the only
+//    persisted form of a simulation: a snapshot payload of any other
+//    format fails recovery with the named "not a DFST full-state snapshot"
+//    error.
 //
 // All read_* functions validate lengths against the remaining buffer and
 // throw dinar::Error on malformed input; recovery treats such a throw as
@@ -58,9 +58,6 @@ enum class WalRecordKind : std::uint8_t {
 // other unreadable state.
 inline constexpr std::uint32_t kFullStateMagic = 0x54534644;  // "DFST"
 inline constexpr std::uint32_t kFullStateVersion = 4;
-// Magic of the legacy monolithic checkpoint (simulation.cpp's DCKP),
-// re-declared here so recovery can sniff snapshot payloads.
-inline constexpr std::uint32_t kLegacyCheckpointMagic = 0x44434B50;  // "DCKP"
 
 // -- protocol-struct serde ---------------------------------------------------
 void write_round_outcome(BinaryWriter& w, const RoundOutcome& out);
@@ -77,13 +74,5 @@ TransportStats read_transport_stats(BinaryReader& r);
 
 void write_attack_stats(BinaryWriter& w, const AttackStats& s);
 AttackStats read_attack_stats(BinaryReader& r);
-
-// -- legacy import -----------------------------------------------------------
-// Installs a monolithic DCKP checkpoint file as the store's snapshot, so a
-// pre-store run can be continued under the durable protocol. Returns the
-// checkpoint's round (used as the snapshot label). Throws dinar::Error if
-// the file is missing or not a DCKP checkpoint.
-std::int64_t import_legacy_checkpoint(store::RoundStore& store,
-                                      const std::string& dckp_path);
 
 }  // namespace dinar::fl

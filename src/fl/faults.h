@@ -5,7 +5,7 @@
 // assumes none of these. FaultInjector sits between a payload and its
 // delivery: seeded, per-direction probabilities decide each message's fate
 // (drop, duplicate, byte corruption, extra delay), per-client schedules
-// model permanent crashes and straggler slowdowns, and every injected
+// model permanent crashes and wall-clock stragglers, and every injected
 // fault is counted in FaultStats so experiments can report exactly what
 // the round protocol survived.
 //
@@ -14,8 +14,8 @@
 // fate of client A's messages is independent of whether client B shipped
 // before or after it. That makes the injector safe under the parallel
 // round protocol — concurrent per-client exchanges draw the identical
-// faults the sequential path would — and a checkpoint-resumed simulation
-// replays the identical fault schedule for the rounds it re-runs,
+// faults the sequential path would — and a simulation recovered from its
+// round store replays the identical fault schedule for the rounds it re-runs,
 // independent of how many random draws happened before the crash.
 //
 // Beyond benign faults, AdversaryEngine models *Byzantine* clients: they
@@ -23,8 +23,7 @@
 // upload adversarially crafted parameters — sign-flipping, model
 // replacement, Gaussian poisoning, or collusion on a shared malicious
 // target. Attacks are scheduled per (seed, round, client) exactly like
-// transport faults, so a checkpoint-resumed run replays the identical
-// attack trace.
+// transport faults, so a recovered run replays the identical attack trace.
 #pragma once
 
 #include <cstdint>
@@ -54,15 +53,13 @@ struct FaultConfig {
   double delay_max_seconds = 0.0;
   // client id -> first round at which the client is permanently down.
   std::map<int, std::int64_t> crash_at_round;
-  // client id -> multiplier (> 1) on that client's simulated link latency.
-  std::map<int, double> straggler_factor;
   // client id -> real wall-clock seconds that client's exchange task sleeps
-  // before uploading. Unlike straggler_factor this burns actual time, not
-  // simulated-latency accounting, so it has ZERO effect on any recorded or
-  // compared value — bit-identity across thread counts is unaffected. It
-  // exists to create a genuine straggler tail for the streaming round
-  // engine to overlap (DESIGN.md §13): the fast clients' commits and the
-  // next round's broadcast serialization proceed while these clients sleep.
+  // before uploading. This burns actual time, not simulated-latency
+  // accounting, so it has ZERO effect on any recorded or compared value —
+  // bit-identity across thread counts is unaffected. It exists to create a
+  // genuine straggler tail for the streaming round engine to overlap
+  // (DESIGN.md §13): the fast clients' commits and the next round's
+  // broadcast serialization proceed while these clients sleep.
   std::map<int, double> straggler_wall_seconds;
   std::uint64_t seed = 0xFA017;
 
@@ -109,9 +106,6 @@ class FaultInjector {
   bool is_crashed(int client_id) const;
   // Book-keeping for a contact the simulation suppressed due to a crash.
   void record_crashed_contact() { ++stats_.crashed_contacts; }
-
-  // Latency multiplier for this client's messages (1.0 = no slowdown).
-  double straggler_factor(int client_id) const;
 
   // Real seconds this client's exchange sleeps before its upload (0.0 =
   // none). Wall-clock only; never enters stats or outcomes.

@@ -25,7 +25,7 @@
 // any thread count — the pipeline only changes *when* commits run relative
 // to the task fan-out, never their order or inputs. The legacy barrier
 // mode was removed after its one-release bisection window; kStream is the
-// only schedule, and the enum/env seam remains for a future one.
+// only schedule, and the enum remains as the seam a future one would use.
 //
 // Error contract: a task exception aborts the round. The coordinator stops
 // committing at the first failed index, drains every outstanding task
@@ -36,9 +36,8 @@
 // survives to expose that.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <optional>
-#include <string>
 
 namespace dinar {
 class ExecutionContext;
@@ -50,16 +49,6 @@ enum class PipelineMode {
   kStream,  // event-driven: commits overlap the straggler tail (the only mode)
 };
 const char* to_string(PipelineMode mode);
-// Throws dinar::Error naming the unknown mode and listing the known ones
-// (mirrors aggregator_kind_from_name).
-PipelineMode pipeline_mode_from_name(const std::string& name);
-
-// DINAR_PIPELINE env pin: "stream" forces the mode for every simulation in
-// the process (read at simulation construction), "" / unset defers to
-// SimulationConfig::pipeline. Unknown values — including the removed
-// "barrier" — throw, the same strictness as DINAR_GEMM_KERNEL, so a stale
-// CI pin fails loudly instead of silently testing the wrong path.
-std::optional<PipelineMode> pipeline_mode_env_override();
 
 class RoundPipeline {
  public:

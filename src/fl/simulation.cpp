@@ -4,8 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -14,7 +12,6 @@
 
 #include "fl/durable.h"
 #include "fl/socket_transport.h"
-#include "store/io.h"
 #include "store/round_store.h"
 #include "util/crashpoint.h"
 #include "util/error.h"
@@ -23,13 +20,40 @@
 namespace dinar::fl {
 namespace {
 
-constexpr std::uint32_t kCheckpointMagic = 0x44434B50;  // "DCKP"
-// v1: tensor-list payload (pre-FlatParams). v2: flat index + arena payload.
-constexpr std::uint32_t kCheckpointVersionLegacy = 1;
-constexpr std::uint32_t kCheckpointVersion = 2;
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// Secure aggregation (defense "sa") masks each upload against every client
+// in the group, keyed on a per-client counter that advances only when that
+// client uploads. The masks therefore cancel only in a plain FedAvg sum of
+// lossless uploads from every client in every round; any other
+// composition would silently corrupt the global model, so it is refused.
+void check_secure_aggregation_composes(const SimulationConfig& c) {
+  const FaultConfig& f = c.faults;
+  std::ostringstream what;
+  if (c.client_fraction < 1.0) {
+    what << "client_fraction = " << c.client_fraction << " < 1";
+  } else if (c.churn.any()) {
+    what << "membership churn";
+  } else if (f.drop_up > 0.0 || f.drop_down > 0.0) {
+    what << "drop faults";
+  } else if (f.corrupt_up > 0.0 || f.corrupt_down > 0.0) {
+    what << "corrupt faults";
+  } else if (!f.crash_at_round.empty()) {
+    what << "crash faults";
+  } else if (c.robust.method != "fedavg") {
+    what << "robust.method = '" << c.robust.method << "'";
+  } else if (!c.codec.update.lossless()) {
+    what << "a lossy update codec (" << wire_encoding_name(c.codec.update.encoding)
+         << ", topk_fraction " << c.codec.update.topk_fraction << ")";
+  } else {
+    return;
+  }
+  throw Error("defense 'sa' cannot run with " + what.str() +
+              ": its pairwise masks cancel only when every client uploads a "
+              "lossless update in every round and the server sums them with "
+              "fedavg");
 }
 
 }  // namespace
@@ -51,7 +75,7 @@ FederatedSimulation::FederatedSimulation(nn::ModelFactory model_factory,
       config_(config), exec_(std::make_unique<ExecutionContext>(config.exec)),
       rng_(config.seed) {
   validate_config();
-  pipeline_mode_ = pipeline_mode_env_override().value_or(config_.pipeline);
+  if (defenses.name == "sa") check_secure_aggregation_composes(config_);
   transport_ = config_.socket_transport
                    ? std::make_unique<SocketTransport>()
                    : std::make_unique<Transport>();
@@ -220,7 +244,7 @@ std::vector<std::size_t> FederatedSimulation::select_participants(std::int64_t r
   // Client selection (paper §2.1): the server picks a fraction of the
   // *current* roster for this round. The stream is forked from
   // (seed, round) rather than drawn sequentially, and the roster is a pure
-  // function of (churn config, round), so a checkpoint-resumed run
+  // function of (churn config, round), so a recovered run
   // re-selects the identical participant sets even as clients join and
   // leave.
   std::vector<std::size_t> roster = roster_at(round);
@@ -501,7 +525,7 @@ const RoundOutcome& FederatedSimulation::run_round() {
       }
     };
 
-    RoundPipeline(pipeline_mode_, exec_.get()).run(pending.size(), task, commit);
+    RoundPipeline(pipeline_mode(), exec_.get()).run(pending.size(), task, commit);
     pending = std::move(still_pending);
     if (accepted.size() >= quorum) break;
     if (config_.round_deadline_seconds > 0.0 &&
@@ -580,50 +604,6 @@ const RoundOutcome& FederatedSimulation::run_round() {
   round_log_.back().timings.commit_seconds += seconds_since(w0);
   round_log_.back().timings.round_seconds = seconds_since(round_t0);
   return round_log_.back();
-}
-
-void FederatedSimulation::save_checkpoint(BinaryWriter& w) const {
-  w.write_u32(kCheckpointMagic);
-  w.write_u32(kCheckpointVersion);
-  w.write_i64(server_->round());
-  nn::write_flat_params(w, server_->global_params());
-}
-
-void FederatedSimulation::save_checkpoint(const std::string& path) const {
-  BinaryWriter w;
-  save_checkpoint(w);
-  store::atomic_write_file(path, w.buffer(), "checkpoint");
-}
-
-void FederatedSimulation::restore_checkpoint(BinaryReader& r) {
-  invalidate_prefetch();
-  DINAR_CHECK(r.read_u32() == kCheckpointMagic, "not a simulation checkpoint");
-  const std::uint32_t version = r.read_u32();
-  DINAR_CHECK(version == kCheckpointVersionLegacy || version == kCheckpointVersion,
-              "unsupported checkpoint version " << version);
-  const std::int64_t round = r.read_i64();
-  nn::FlatParams params = version == kCheckpointVersionLegacy
-                              ? nn::read_legacy_tensor_params(r)
-                              : nn::read_flat_params(r);
-  DINAR_CHECK(r.exhausted(), "trailing bytes in simulation checkpoint");
-  DINAR_CHECK(round <= config_.rounds, "checkpoint round " << round
-                                                           << " exceeds configured "
-                                                           << config_.rounds);
-  for (const FlClient& c : clients_)
-    DINAR_CHECK(c.round() <= round,
-                "client " << c.id() << " is already past checkpoint round " << round
-                          << "; restore into a freshly constructed simulation");
-  server_->restore(round, std::move(params));
-  last_updates_.clear();
-}
-
-void FederatedSimulation::restore_checkpoint(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  DINAR_CHECK(f.good(), "cannot open checkpoint file " << path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  BinaryReader r(bytes);
-  restore_checkpoint(r);
 }
 
 // -- durable round store ------------------------------------------------------
@@ -805,6 +785,7 @@ void FederatedSimulation::restore_full_state(BinaryReader& r) {
     const AttackStats as = read_attack_stats(r);
     if (adversary_ != nullptr) adversary_->restore_stats(as);
   }
+  DINAR_CHECK(r.exhausted(), "trailing bytes in DFST full-state snapshot");
   last_updates_.clear();
 }
 
@@ -877,17 +858,8 @@ std::int64_t FederatedSimulation::recover_from_store() {
   const store::RoundStore::Recovered rec = store_->recover();
 
   if (rec.snapshot.has_value()) {
-    // CRC already validated the bytes; sniff the payload magic to pick the
-    // restore path (full DFST state vs a legacy DCKP checkpoint installed
-    // via import_legacy_checkpoint).
-    BinaryReader probe(*rec.snapshot);
-    const std::uint32_t magic = probe.remaining() >= 4 ? probe.read_u32() : 0;
     BinaryReader body(*rec.snapshot);
-    if (magic == kLegacyCheckpointMagic) {
-      restore_checkpoint(body);
-    } else {
-      restore_full_state(body);
-    }
+    restore_full_state(body);
   }
 
   // Replay the longest valid WAL prefix. A malformed record (bit flip that

@@ -15,10 +15,10 @@
 // and — if quorum never materializes — carries the previous global model
 // forward as a degraded-but-live round. Every round appends a RoundOutcome
 // describing who crashed, who dropped, who was quarantined and why, and
-// how many retries were spent. Checkpoint/resume persists the global model
-// and round counter; all per-round randomness (selection, faults, attacks)
-// is forked from (seed, round), so a resumed run replays the remaining
-// rounds deterministically.
+// how many retries were spent. All per-round randomness (selection,
+// faults, attacks) is forked from (seed, round), so a run resumed from the
+// durable round store (attach_store + recover_from_store) replays the
+// remaining rounds bit-identically to the uninterrupted run.
 //
 // Byzantine robustness: SimulationConfig::adversaries schedules clients
 // that upload well-formed but adversarial updates (sign-flip, model
@@ -53,7 +53,7 @@
 // (initialized from the current global model via their first broadcast),
 // leave, and rejoin with their personalized state carried across the
 // absence. Presence is a pure function of (config, round), keeping
-// selection deterministic and checkpoint-resume exact under churn.
+// selection deterministic and store recovery exact under churn.
 #pragma once
 
 #include <exception>
@@ -101,7 +101,7 @@ struct DefenseBundle {
 // with its own personalized layer while picking up the current global
 // model from the next broadcast. Presence is a pure function of
 // (config, round), so selection stays deterministic under churn and a
-// checkpoint-resumed run recomputes the identical roster per round.
+// recovered run recomputes the identical roster per round.
 struct ChurnConfig {
   // client id -> first round the client is part of the federation
   // (absent entry = founding member, present from round 0). A joining
@@ -179,13 +179,6 @@ struct SimulationConfig {
   // this process). Results are bit-identical to the default in-process
   // transport — only the socket_* counters differ from zero.
   bool socket_transport = false;
-
-  // -- round pipelining ------------------------------------------------------
-  // The round engine schedule (see header comment). kStream is the only
-  // mode; the field and the DINAR_PIPELINE environment pin (read at
-  // simulation construction, overriding this field) survive as the seam a
-  // future schedule would slot into.
-  PipelineMode pipeline = PipelineMode::kStream;
 
   // -- wire codec (DESIGN.md §14) -------------------------------------------
   // DFRM v3 compressed payload codec for both message kinds. The default
@@ -271,12 +264,11 @@ class FederatedSimulation {
   FederatedSimulation(nn::ModelFactory model_factory, data::FlSplit split,
                       SimulationConfig config, DefenseBundle defenses);
 
-  // The round schedule actually in effect (config.pipeline unless
-  // DINAR_PIPELINE overrode it at construction).
-  PipelineMode pipeline_mode() const { return pipeline_mode_; }
+  // The round schedule (see header comment); kStream is the only one.
+  PipelineMode pipeline_mode() const { return PipelineMode::kStream; }
 
   // Runs every remaining round (config.rounds minus any already completed,
-  // e.g. after restore_checkpoint()).
+  // e.g. after recover_from_store()).
   void run();
   // Runs a single round (exposed for tests and incremental experiments);
   // returns its event log entry.
@@ -303,33 +295,18 @@ class FederatedSimulation {
   // longest valid WAL prefix replayed on top. Tolerates torn tails,
   // truncation, bit flips, duplicate round records and records already
   // absorbed by the snapshot — corruption only shortens the replay, it
-  // never throws. A legacy DCKP v2 checkpoint installed as the snapshot
-  // (import_legacy_checkpoint) restores through the server-only path.
+  // never throws. A snapshot whose payload is not a DFST full state fails
+  // with restore_full_state's named error.
   // Returns the recovered round count (server round after replay).
   std::int64_t recover_from_store();
 
-  // Full simulation state (superset of save_checkpoint: server + every
-  // client's model/RNG/defense state + both logs + counters). This is the
-  // snapshot payload, and also what the crash matrix compares runs by.
+  // Full simulation state (server + every client's model/RNG/defense
+  // state + both logs + counters). This is the snapshot payload, the only
+  // persisted form of a run, and what the crash matrix compares runs by.
+  // restore_full_state() into a freshly constructed, identically
+  // configured simulation continues the run bit-identically.
   void save_full_state(BinaryWriter& w) const;
   void restore_full_state(BinaryReader& r);
-
-  // -- checkpoint / resume ------------------------------------------------
-  // Persists the global model + round counter (magic + version header).
-  void save_checkpoint(BinaryWriter& w) const;
-  // Crash-safe: writes a temp file, fsyncs, then atomically renames over
-  // `path`, so a crash mid-write can never clobber the previous good
-  // checkpoint.
-  void save_checkpoint(const std::string& path) const;
-  // Restores a checkpoint into a freshly constructed simulation of the
-  // same architecture; run() then completes the remaining rounds. The
-  // per-round fault/selection schedules replay identically, so any two
-  // restarts from the same checkpoint are bit-identical. Client-local
-  // state (optimizer accumulators, training RNG streams) is NOT part of
-  // the checkpoint and restarts fresh — a resumed run is reproducible,
-  // not byte-equal to the uninterrupted one.
-  void restore_checkpoint(BinaryReader& r);
-  void restore_checkpoint(const std::string& path);
 
   // -- results & attacker views ------------------------------------------
   FlServer& server() { return *server_; }
@@ -391,7 +368,7 @@ class FederatedSimulation {
   // serializing; safe to call with none pending.
   void join_prefetch();
   // join_prefetch + drop the prefetched broadcast (state changed under it:
-  // checkpoint restore, full-state restore, store recovery).
+  // full-state restore, store recovery).
   void invalidate_prefetch();
 
   nn::ModelFactory model_factory_;
@@ -410,8 +387,6 @@ class FederatedSimulation {
   std::vector<RoundRecord> history_;
   std::vector<RoundOutcome> round_log_;
   Rng rng_;
-  // Round schedule (config.pipeline unless DINAR_PIPELINE overrode it).
-  PipelineMode pipeline_mode_ = PipelineMode::kStream;
   // Next-round broadcast prefetch (stream mode): after a round commits,
   // the new global model is copied on the coordinator and serialized on
   // the pool, overlapping the WAL fsync / snapshot / eval that follow.

@@ -1,7 +1,6 @@
 #include "fl/transport.h"
 
 #include "net/frame.h"
-#include "util/error.h"
 
 namespace dinar::fl {
 
@@ -23,16 +22,6 @@ void TransportStats::merge(const TransportStats& other) {
   socket_evictions += other.socket_evictions;
   socket_queue_drops += other.socket_queue_drops;
   socket_protocol_errors += other.socket_protocol_errors;
-}
-
-std::vector<std::uint8_t> Transport::uplink(std::vector<std::uint8_t> payload) {
-  account(payload.size(), /*up=*/true);
-  return payload;
-}
-
-std::vector<std::uint8_t> Transport::downlink(std::vector<std::uint8_t> payload) {
-  account(payload.size(), /*up=*/false);
-  return payload;
 }
 
 void Transport::enable_faults(const FaultConfig& config) {
@@ -58,14 +47,12 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
   TransportStats& acc = receipt != nullptr ? receipt->transport : stats_;
 
   std::vector<std::vector<std::uint8_t>> copies;
-  double latency_factor = 1.0;
   if (injector_ != nullptr) {
     FaultedDelivery delivery = injector_->apply(
         dir, client_id, frame(payload),
         receipt != nullptr ? &receipt->faults : nullptr);
     copies = std::move(delivery.copies);
     acc.simulated_latency_seconds += delivery.extra_delay_seconds;
-    latency_factor = injector_->straggler_factor(client_id);
   } else {
     copies.push_back(frame(payload));
   }
@@ -80,10 +67,6 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
       acc.bytes_down += payload_bytes;
       acc.frame_bytes_down += copy.size() - payload_bytes;
     }
-    if (bandwidth_ > 0.0)
-      acc.simulated_latency_seconds +=
-          latency_factor *
-          (per_message_ + static_cast<double>(copy.size()) / bandwidth_);
   }
   return copies;
 }
@@ -91,19 +74,6 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
 void Transport::commit(const ShipReceipt& receipt) {
   stats_.merge(receipt.transport);
   if (injector_ != nullptr) injector_->merge_stats(receipt.faults);
-}
-
-void Transport::account(std::size_t bytes, bool up) {
-  if (up) {
-    ++stats_.messages_up;
-    stats_.bytes_up += bytes;
-  } else {
-    ++stats_.messages_down;
-    stats_.bytes_down += bytes;
-  }
-  if (bandwidth_ > 0.0)
-    stats_.simulated_latency_seconds +=
-        per_message_ + static_cast<double>(bytes) / bandwidth_;
 }
 
 }  // namespace dinar::fl

@@ -3,14 +3,14 @@
 // Messages really are serialized into byte buffers on send and parsed on
 // receive, so (a) traffic accounting reflects genuine payload sizes and
 // (b) nothing can leak between endpoints except through bytes — the same
-// isolation a socket would give. A pluggable per-byte latency model lets
-// cost experiments include simulated network time.
+// isolation a socket would give. Simulated network time comes from the
+// fault injector's delays and the round protocol's retry backoff.
 //
-// The fault-tolerant round protocol uses the framed path: ship() wraps the
-// payload in a checksummed frame (magic + length + FNV-1a 64), routes it
-// through an optional FaultInjector (drop / duplicate / corrupt / delay /
-// straggler slowdown), and open() verifies the frame on receive — so any
-// in-flight corruption is detected instead of silently aggregated.
+// Every payload takes the framed path: ship() wraps the payload in a
+// checksummed frame (magic + length + FNV-1a 64), routes it through an
+// optional FaultInjector (drop / duplicate / corrupt / delay), and open()
+// verifies the frame on receive — so any in-flight corruption is detected
+// instead of silently aggregated.
 // bytes_up/bytes_down keep counting pure payload bytes (the quantity the
 // cost experiments report); frame overhead is accounted separately.
 #pragma once
@@ -68,19 +68,8 @@ struct ShipReceipt {
 
 class Transport {
  public:
-  // bandwidth_bytes_per_sec <= 0 disables latency simulation.
-  explicit Transport(double bandwidth_bytes_per_sec = 0.0,
-                     double per_message_latency_seconds = 0.0)
-      : bandwidth_(bandwidth_bytes_per_sec), per_message_(per_message_latency_seconds) {}
   virtual ~Transport() = default;
 
-  // Ships a payload client -> server; returns the delivered bytes.
-  // Fault-free, unframed legacy path (kept for byte-exact cost accounting).
-  std::vector<std::uint8_t> uplink(std::vector<std::uint8_t> payload);
-  // Ships a payload server -> client.
-  std::vector<std::uint8_t> downlink(std::vector<std::uint8_t> payload);
-
-  // -- fault-tolerant framed path ----------------------------------------
   // Attaches a fault injector; subsequent ship() calls suffer its faults.
   void enable_faults(const FaultConfig& config);
   // The attached injector, or nullptr when running fault-free.
@@ -90,7 +79,7 @@ class Transport {
   // Frames the payload, applies faults (if enabled), and accounts every
   // delivered copy. Returns the framed copies that arrived (possibly none
   // — dropped — or two — duplicated). With `receipt == nullptr` the
-  // accounting lands directly in stats() (legacy sequential path). With a
+  // accounting lands directly in stats() (sequential callers). With a
   // receipt, all accounting is deferred into it and the caller must later
   // commit() it — this is the thread-safe path: concurrent ship() calls
   // for different clients touch no shared mutable state.
@@ -131,10 +120,6 @@ class Transport {
   TransportStats& mutable_stats() { return stats_; }
 
  private:
-  void account(std::size_t bytes, bool up);
-
-  double bandwidth_;
-  double per_message_;
   TransportStats stats_;
   std::unique_ptr<FaultInjector> injector_;
 };

@@ -17,10 +17,9 @@
 // shallow for layout. Spans returned by as_span()/entry_span()/layer_span()
 // alias the arena and are invalidated by move/destruction, never by reads.
 //
-// The pre-flat ParamList (std::vector<Tensor>) API was removed after its
-// one-release deprecation window. Tensor-shaped input enters through
-// FlatParams::from_tensors(); the only tensor-list *wire* format still
-// read is the v1 DCKP checkpoint payload (read_legacy_tensor_params).
+// Tensor-shaped input enters through FlatParams::from_tensors(). On the
+// wire and on disk, parameters are always the index header plus one
+// contiguous arena (write_flat_params).
 #pragma once
 
 #include <cstdint>
@@ -163,12 +162,5 @@ FlatParams read_flat_params(BinaryReader& r);
 // frames stay structurally aligned up to the first coded byte.
 void write_layer_index(BinaryWriter& w, const LayerIndex& index);
 std::shared_ptr<const LayerIndex> read_layer_index(BinaryReader& r);
-
-// Reads the v1 tensor-list payload (count + tensors) into a FlatParams
-// with a synthesized index. This is the only surviving tensor-list wire
-// format: legacy DCKP model/simulation checkpoints. v1 *messages* are
-// rejected outright (fl/message.cpp) — checkpoints live on disk for years,
-// wire frames do not outlive a release.
-FlatParams read_legacy_tensor_params(BinaryReader& r);
 
 }  // namespace dinar::nn

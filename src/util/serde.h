@@ -5,7 +5,7 @@
 // payload sizes and defenses such as secure aggregation operate on the same
 // bytes a networked deployment would ship. Format: little-endian, no
 // padding, length-prefixed containers. A four-byte magic + version header
-// guards model checkpoints.
+// guards every message and persisted state format.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,10 @@
 namespace dinar::fl {
 namespace {
 
+using dinar::testing::fresh_temp_dir;
+using dinar::testing::full_state_bytes;
 using dinar::testing::make_easy_dataset;
+using dinar::testing::resume_from_store;
 using dinar::testing::tiny_mlp_factory;
 
 data::FlSplit easy_split(int clients, std::int64_t n, std::uint64_t seed) {
@@ -514,6 +517,10 @@ TEST(ChurnSimulationTest, RejoiningClientCarriesPersonalizedStateAcrossAbsence) 
   EXPECT_TRUE(personal);
 }
 
+// Durable recovery under partial participation (selection re-forked per
+// round), churn, a robust aggregator and a noise attacker: the resumed run
+// finishes byte-identical to the uninterrupted one — same rosters,
+// selections, attackers and aggregator treatment, same models everywhere.
 TEST(ChurnSimulationTest, CheckpointResumeIsDeterministicUnderChurnAndAttack) {
   SimulationConfig cfg;
   cfg.rounds = 6;
@@ -527,47 +534,20 @@ TEST(ChurnSimulationTest, CheckpointResumeIsDeterministicUnderChurnAndAttack) {
   cfg.adversaries.attackers[0] = AttackType::kGaussianNoise;
   cfg.adversaries.noise_std = 0.1;
   cfg.robust.method = "trimmed_mean";
-
-  FederatedSimulation first(tiny_mlp_factory(2, 2), easy_split(5, 600, 73), cfg,
-                            DefenseBundle{});
-  for (int r = 0; r < 3; ++r) first.run_round();
-  BinaryWriter w;
-  first.save_checkpoint(w);
-  const std::vector<std::uint8_t> checkpoint = w.buffer();
-
-  auto resume = [&] {
-    FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(5, 600, 73), cfg,
-                            DefenseBundle{});
-    BinaryReader r(checkpoint);
-    sim.restore_checkpoint(r);
-    sim.run();
-    return sim;
+  const auto make = [&] {
+    return FederatedSimulation(tiny_mlp_factory(2, 2), easy_split(5, 600, 73), cfg,
+                               DefenseBundle{});
   };
-  FederatedSimulation a = resume();
-  FederatedSimulation b = resume();
 
-  const nn::FlatParams& pa = a.server().global_params();
-  const nn::FlatParams& pb = b.server().global_params();
-  for (std::size_t j = 0; j < pa.as_span().size(); ++j)
-    EXPECT_EQ(pa.as_span()[j], pb.as_span()[j]);
-
-  // The replayed rounds took identical decisions: same rosters, the same
-  // selections, the same attackers, the same aggregator treatment.
-  ASSERT_EQ(a.round_log().size(), b.round_log().size());
-  for (std::size_t i = 0; i < a.round_log().size(); ++i) {
-    const RoundOutcome& ra = a.round_log()[i];
-    const RoundOutcome& rb = b.round_log()[i];
-    EXPECT_EQ(ra.selected, rb.selected);
-    EXPECT_EQ(ra.accepted, rb.accepted);
-    EXPECT_EQ(ra.attackers, rb.attackers);
-    EXPECT_EQ(ra.roster_size, rb.roster_size);
-    EXPECT_EQ(ra.joined, rb.joined);
-    EXPECT_EQ(ra.aggregator_flags.size(), rb.aggregator_flags.size());
-  }
+  FederatedSimulation uninterrupted = make();
+  uninterrupted.run();
+  EXPECT_EQ(resume_from_store(make, fresh_temp_dir("resume_churn"),
+                              /*kill_after=*/3, /*snapshot_every=*/2),
+            full_state_bytes(uninterrupted));
 }
 
 // Restore into a quarantine-heavy round: the server comes back at the
-// checkpointed round, refuses a round full of invalid updates, carries
+// restored round, refuses a round full of invalid updates, carries
 // forward, and then aggregates normally once valid updates arrive.
 TEST(ServerInterplayTest, RestoreThenQuarantineHeavyRoundThenCarryForward) {
   FlServer server(one_tensor(1.0f), std::make_unique<NoServerDefense>());

@@ -12,7 +12,10 @@
 namespace dinar::fl {
 namespace {
 
+using dinar::testing::fresh_temp_dir;
+using dinar::testing::full_state_bytes;
 using dinar::testing::make_easy_dataset;
+using dinar::testing::resume_from_store;
 using dinar::testing::tiny_mlp_factory;
 
 data::FlSplit easy_split(int clients, std::int64_t n, std::uint64_t seed) {
@@ -106,7 +109,7 @@ TEST(FaultInjectorTest, RejectsBadProbabilities) {
   cfg.drop_up = 1.5;
   EXPECT_THROW(FaultInjector{cfg}, Error);
   FaultConfig slow;
-  slow.straggler_factor[0] = 0.5;  // a speedup is not a straggler
+  slow.straggler_wall_seconds[0] = -1.0;
   EXPECT_THROW(FaultInjector{slow}, Error);
 }
 
@@ -160,22 +163,6 @@ TEST(TransportShipTest, DropsAndDuplicatesAreAccounted) {
   EXPECT_EQ(t.stats().messages_down, 2u);  // the duplicate is real traffic
   EXPECT_EQ(t.faults()->stats().drops_up, 1u);
   EXPECT_EQ(t.faults()->stats().duplicates_down, 1u);
-}
-
-TEST(TransportShipTest, StragglerFactorScalesSimulatedLatency) {
-  FaultConfig cfg;
-  cfg.straggler_factor[0] = 2.0;
-
-  Transport fast(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  fast.enable_faults(cfg);
-  fast.ship(LinkDir::kUp, /*client_id=*/1, std::vector<std::uint8_t>(80, 0));
-  const double base = fast.stats().simulated_latency_seconds;
-  EXPECT_GT(base, 0.0);
-
-  Transport slow(1000.0, 0.01);
-  slow.enable_faults(cfg);
-  slow.ship(LinkDir::kUp, /*client_id=*/0, std::vector<std::uint8_t>(80, 0));
-  EXPECT_NEAR(slow.stats().simulated_latency_seconds, 2.0 * base, 1e-12);
 }
 
 // --------------------------------------------------------- server hardening --
@@ -399,61 +386,56 @@ TEST(FaultSimulationTest, ZeroFaultProtocolMatchesSeedBehavior) {
   }
 }
 
-// ------------------------------------------------------ checkpoint / resume --
+// ------------------------------------------------------------ store resume --
 
+// A run killed after 3 rounds and recovered from its round store finishes
+// byte-identical to the uninterrupted run, with per-round selection forking
+// (client_fraction < 1) and dropped and corrupted uplinks.
 TEST(CheckpointTest, ResumedRunsAreDeterministic) {
   SimulationConfig cfg = faulty_config(6);
   cfg.client_fraction = 0.6;  // exercise per-round selection forking
   cfg.min_clients = 2;
   cfg.faults.drop_up = 0.2;
   cfg.faults.corrupt_up = 0.05;
-
-  // Run half the rounds, then checkpoint (as a crashed run would have).
-  FederatedSimulation first(tiny_mlp_factory(2, 2), easy_split(5, 600, 35), cfg,
-                            DefenseBundle{});
-  for (int r = 0; r < 3; ++r) first.run_round();
-  BinaryWriter w;
-  first.save_checkpoint(w);
-  const std::vector<std::uint8_t> checkpoint = w.buffer();
-
-  // Two fresh processes restore the same checkpoint and finish the run.
-  auto resume = [&] {
-    FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(5, 600, 35), cfg,
-                            DefenseBundle{});
-    BinaryReader r(checkpoint);
-    sim.restore_checkpoint(r);
-    EXPECT_EQ(sim.server().round(), 3);
-    sim.run();
-    EXPECT_EQ(sim.server().round(), 6);
-    EXPECT_EQ(sim.round_log().size(), 3u);  // only rounds 3..5 re-ran
-    return sim.server().global_params();
+  const auto make = [&] {
+    return FederatedSimulation(tiny_mlp_factory(2, 2), easy_split(5, 600, 35), cfg,
+                               DefenseBundle{});
   };
-  const nn::FlatParams a = resume();
-  const nn::FlatParams b = resume();
-  ASSERT_EQ(a.numel(), b.numel());
-  for (std::size_t j = 0; j < a.as_span().size(); ++j)
-    EXPECT_EQ(a.as_span()[j], b.as_span()[j]);
+
+  FederatedSimulation uninterrupted = make();
+  uninterrupted.run();
+  EXPECT_EQ(resume_from_store(make, fresh_temp_dir("resume_faults"), /*kill_after=*/3,
+                              /*snapshot_every=*/2),
+            full_state_bytes(uninterrupted));
 }
 
+// The store's files alone bring a run back: a fresh simulation recovers
+// the round and the global model bit for bit.
 TEST(CheckpointTest, FileRoundTripRestoresRoundAndModel) {
   SimulationConfig cfg;
   cfg.rounds = 4;
   cfg.train = TrainConfig{1, 32};
+  const std::string dir = fresh_temp_dir("file_round_trip");
+  store::RoundStore store(dir);
   FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(2, 200, 36), cfg,
                           DefenseBundle{});
+  sim.attach_store(&store, /*snapshot_every=*/1);
   sim.run_round();
   sim.run_round();
-  const std::string path = ::testing::TempDir() + "dinar_ckpt.bin";
-  sim.save_checkpoint(path);
+  sim.attach_store(nullptr);
 
+  store::RoundStore reopened(dir);
   FederatedSimulation fresh(tiny_mlp_factory(2, 2), easy_split(2, 200, 36), cfg,
                             DefenseBundle{});
-  fresh.restore_checkpoint(path);
+  fresh.attach_store(&reopened);
+  EXPECT_EQ(fresh.recover_from_store(), 2);
   EXPECT_EQ(fresh.server().round(), 2);
   const nn::FlatParams& a = sim.server().global_params();
   const nn::FlatParams& b = fresh.server().global_params();
+  ASSERT_EQ(a.numel(), b.numel());
   for (std::size_t j = 0; j < a.as_span().size(); ++j)
     EXPECT_EQ(a.as_span()[j], b.as_span()[j]);
+  fresh.attach_store(nullptr);
 }
 
 TEST(CheckpointTest, CorruptedCheckpointRejected) {
@@ -462,39 +444,21 @@ TEST(CheckpointTest, CorruptedCheckpointRejected) {
   cfg.train = TrainConfig{1, 32};
   FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(2, 200, 37), cfg,
                           DefenseBundle{});
-  BinaryWriter w;
-  sim.save_checkpoint(w);
-  std::vector<std::uint8_t> bytes = w.take();
+  const std::vector<std::uint8_t> bytes = full_state_bytes(sim);
 
   std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + 10);
   BinaryReader rt(truncated);
-  EXPECT_THROW(sim.restore_checkpoint(rt), Error);
+  EXPECT_THROW(sim.restore_full_state(rt), Error);
 
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);
   BinaryReader rx(trailing);
-  EXPECT_THROW(sim.restore_checkpoint(rx), Error);
+  EXPECT_THROW(sim.restore_full_state(rx), Error);
 
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] ^= 0xFF;
   BinaryReader rm(bad_magic);
-  EXPECT_THROW(sim.restore_checkpoint(rm), Error);
-}
-
-// A rolled-back restore into a simulation whose clients already advanced
-// past the checkpoint round is refused (restore into a fresh process).
-TEST(CheckpointTest, BackwardRestoreIntoLiveSimulationRejected) {
-  SimulationConfig cfg;
-  cfg.rounds = 4;
-  cfg.train = TrainConfig{1, 32};
-  FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(2, 200, 38), cfg,
-                          DefenseBundle{});
-  BinaryWriter w;
-  sim.save_checkpoint(w);  // round 0
-  sim.run_round();
-  sim.run_round();
-  BinaryReader r(w.buffer());
-  EXPECT_THROW(sim.restore_checkpoint(r), Error);
+  EXPECT_THROW(sim.restore_full_state(rm), Error);
 }
 
 }  // namespace

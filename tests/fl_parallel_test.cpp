@@ -364,9 +364,9 @@ void expect_params_bitwise_equal(const nn::FlatParams& a, const nn::FlatParams& 
       << what << " differs bitwise";
 }
 
-// The full gauntlet: drops, duplication, corruption, delays, a crash, a
-// straggler (simulated latency AND a real wall-clock sleep, so the
-// streaming pipeline genuinely overlaps a tail), sign-flip + colluding
+// The full gauntlet: drops, duplication, corruption, delays, a crash,
+// stragglers (a real wall-clock sleep, so the streaming pipeline genuinely
+// overlaps a tail), sign-flip + colluding
 // attackers under multi-Krum, membership churn, quorum aggregation with
 // retries, and periodic evaluation. The streaming engine is the only
 // round schedule; the extra ctest leg re-runs exactly this suite with the
@@ -387,7 +387,6 @@ SimulationConfig gauntlet_config(unsigned threads, std::size_t num_shards = 1) {
   cfg.faults.delay_prob = 0.2;
   cfg.faults.delay_max_seconds = 0.5;
   cfg.faults.crash_at_round[2] = 4;
-  cfg.faults.straggler_factor[3] = 2.0;
   // Real (tiny) wall-clock stragglers: their exchanges finish last, so in
   // stream mode every other client's commit overlaps their sleep. Zero
   // effect on any compared value.

@@ -124,34 +124,43 @@ TEST(MessageTest, TrailingBytesRejected) {
 TEST(TransportTest, CountsBytesAndMessages) {
   Transport t;
   const std::vector<std::uint8_t> payload(100, 0xAB);
-  auto up = t.uplink(payload);
-  auto down = t.downlink(payload);
-  EXPECT_EQ(up.size(), 100u);
-  EXPECT_EQ(down.size(), 100u);
+  const auto up = t.ship(LinkDir::kUp, 0, payload);
+  const auto down = t.ship(LinkDir::kDown, 0, payload);
+  ASSERT_EQ(up.size(), 1u);
+  ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(Transport::open(up[0]), payload);
+  EXPECT_EQ(Transport::open(down[0]), payload);
   EXPECT_EQ(t.stats().messages_up, 1u);
   EXPECT_EQ(t.stats().messages_down, 1u);
-  EXPECT_EQ(t.stats().bytes_up, 100u);
+  EXPECT_EQ(t.stats().bytes_up, 100u);  // payload bytes, frame excluded
   EXPECT_EQ(t.stats().bytes_down, 100u);
+  EXPECT_EQ(t.stats().frame_bytes_up, up[0].size() - 100u);
+  // A fault-free ship costs no simulated time.
+  EXPECT_EQ(t.stats().simulated_latency_seconds, 0.0);
   t.reset_stats();
   EXPECT_EQ(t.stats().bytes_up, 0u);
 }
 
+// Simulated time comes from injected delays and the round protocol's retry
+// backoff (add_latency); both accumulate on the transport clock.
 TEST(TransportTest, LatencyModelAccumulates) {
-  Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  t.uplink(std::vector<std::uint8_t>(500, 0));
-  EXPECT_NEAR(t.stats().simulated_latency_seconds, 0.01 + 0.5, 1e-9);
-}
-
-TEST(TransportTest, ZeroBandwidthDisablesLatencySimulation) {
-  Transport t;  // bandwidth 0 = latency model off
-  t.uplink(std::vector<std::uint8_t>(4096, 0));
-  t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(4096, 0));
-  EXPECT_EQ(t.stats().simulated_latency_seconds, 0.0);
+  Transport t;
+  FaultConfig cfg;
+  cfg.delay_prob = 1.0;
+  cfg.delay_max_seconds = 0.5;
+  t.enable_faults(cfg);
+  t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(64, 0));
+  t.ship(LinkDir::kDown, 1, std::vector<std::uint8_t>(64, 0));
+  const FaultStats& f = t.faults()->stats();
+  EXPECT_EQ(f.delays_injected, 2u);
+  EXPECT_GT(f.injected_delay_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(t.stats().simulated_latency_seconds, f.injected_delay_seconds);
+  t.add_latency(0.25);
+  EXPECT_DOUBLE_EQ(t.stats().simulated_latency_seconds, f.injected_delay_seconds + 0.25);
 }
 
 TEST(TransportTest, ResetStatsClearsEveryCounter) {
-  Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  t.uplink(std::vector<std::uint8_t>(64, 0));
+  Transport t;
   t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(64, 0));
   t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(64, 0));
   t.add_latency(1.0);
@@ -169,8 +178,8 @@ TEST(TransportTest, ResetStatsClearsEveryCounter) {
 TEST(TransportTest, UplinkAndDownlinkAccountSymmetrically) {
   Transport t;
   const std::vector<std::uint8_t> payload(321, 0x5C);
-  t.uplink(payload);
-  t.downlink(payload);
+  t.ship(LinkDir::kUp, 0, payload);
+  t.ship(LinkDir::kDown, 1, payload);
   t.ship(LinkDir::kUp, 0, payload);
   t.ship(LinkDir::kDown, 0, payload);
   const TransportStats& s = t.stats();

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "nn/flat_params.h"
-#include "tensor/tensor_serde.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -230,37 +229,36 @@ TEST(FlatMathTest, LayoutMismatchThrowsNamedError) {
   EXPECT_THROW(flat_add_scaled(a, b, 1.0f), Error);
 }
 
-// -- legacy tensor-list read path (the only surviving v1 format) -------------
+// A tensor of any shape (empty included) crosses the wire as one entry of
+// the flat format — the only format parameters are serialized in — with
+// its shape and every value intact.
+class TensorSerdeTest : public ::testing::TestWithParam<Shape> {};
 
-TEST(LegacyTensorParamsTest, ReadsTheV1TensorListPayload) {
-  Rng rng(5);
-  std::vector<Tensor> tensors;
-  tensors.push_back(Tensor::gaussian({4, 4}, rng));
-  tensors.push_back(Tensor::gaussian({7}, rng));
-
+TEST_P(TensorSerdeTest, RoundTripPreservesEverything) {
+  Rng rng(77);
+  const Tensor t = Tensor::gaussian(GetParam(), rng);
+  LayerEntry e;
+  e.name = "t";
+  e.shape = t.shape();
+  const FlatParams flat(LayerIndex::build({e}),
+                        std::vector<float>(t.values().begin(), t.values().end()));
   BinaryWriter w;
-  w.write_u64(tensors.size());
-  for (const Tensor& t : tensors) write_tensor(w, t);
-
+  write_flat_params(w, flat);
   BinaryReader r(w.buffer());
-  const FlatParams flat = read_legacy_tensor_params(r);
+  const FlatParams back = read_flat_params(r);
   EXPECT_TRUE(r.exhausted());
-  ASSERT_EQ(flat.index()->num_entries(), 2u);
-  EXPECT_EQ(flat.numel(), 23);
-  for (std::size_t t = 0; t < tensors.size(); ++t) {
-    const std::span<const float> got = flat.entry_span(t);
-    ASSERT_EQ(got.size(), tensors[t].values().size());
-    for (std::size_t j = 0; j < got.size(); ++j)
-      EXPECT_EQ(got[j], tensors[t].values()[j]);
-  }
+  ASSERT_EQ(back.index()->num_entries(), 1u);
+  EXPECT_EQ(back.index()->entry(0).shape, t.shape());
+  const std::span<const float> got = back.entry_span(0);
+  ASSERT_EQ(static_cast<std::int64_t>(got.size()), t.numel());
+  for (std::int64_t i = 0; i < t.numel(); ++i)
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], t.at(i));
 }
 
-TEST(LegacyTensorParamsTest, CorruptCountPrefixRejected) {
-  BinaryWriter w;
-  w.write_u64(1u << 30);  // claims a billion tensors in an 8-byte buffer
-  BinaryReader r(w.buffer());
-  EXPECT_THROW(read_legacy_tensor_params(r), Error);
-}
+INSTANTIATE_TEST_SUITE_P(Shapes, TensorSerdeTest,
+                         ::testing::Values(Shape{1}, Shape{16}, Shape{3, 4},
+                                           Shape{2, 3, 5}, Shape{2, 1, 4, 4},
+                                           Shape{0}));
 
 }  // namespace
 }  // namespace dinar::nn

@@ -104,16 +104,19 @@ TEST(ModelTest, CopyIsDeep) {
   EXPECT_EQ(copy.parameters().as_span()[0], 9.0f);
 }
 
+// A model's parameters persist as the flat format (index header + one
+// arena), which is how the full-state snapshot stores every client model.
 TEST(ModelTest, SaveLoadRoundTrip) {
   Rng rng(7);
   Model m = make_tiny_mlp(4, 3, rng);
   BinaryWriter w;
-  m.save(w);
+  write_flat_params(w, m.parameters());
 
   Rng rng2(999);
   Model other = make_tiny_mlp(4, 3, rng2);
   BinaryReader r(w.buffer());
-  other.load(r);
+  other.set_parameters(read_flat_params(r));
+  EXPECT_TRUE(r.exhausted());
   FlatParams a = m.parameters(), b = other.parameters();
   ASSERT_EQ(a.numel(), b.numel());
   for (std::size_t j = 0; j < a.as_span().size(); ++j)
@@ -127,7 +130,14 @@ TEST(ModelTest, LoadRejectsGarbage) {
   w.write_u32(0xDEADBEEF);
   w.write_u32(1);
   BinaryReader r(w.buffer());
-  EXPECT_THROW(m.load(r), Error);
+  EXPECT_THROW(read_flat_params(r), Error);
+
+  // Well-formed parameters of another architecture do not install.
+  Model wider = make_tiny_mlp(5, 3, rng);
+  BinaryWriter other;
+  write_flat_params(other, wider.parameters());
+  BinaryReader ro(other.buffer());
+  EXPECT_THROW(m.set_parameters(read_flat_params(ro)), Error);
 }
 
 TEST(ModelTest, ZeroGradClearsAccumulation) {

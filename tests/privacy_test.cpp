@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "privacy/defense_catalog.h"
 #include "privacy/dp.h"
@@ -12,7 +15,9 @@
 namespace dinar::privacy {
 namespace {
 
+using dinar::testing::make_easy_dataset;
 using dinar::testing::make_tiny_mlp;
+using dinar::testing::tiny_mlp_factory;
 
 nn::FlatParams sample_params(std::uint64_t seed, float scale = 1.0f) {
   Rng rng(seed);
@@ -264,6 +269,61 @@ TEST(DefenseCatalogTest, BundleDefensesCarryExpectedNames) {
   EXPECT_EQ(make_baseline_bundle("cdp", cfg).make_server()->name(), "cdp");
   EXPECT_EQ(make_baseline_bundle("sa", cfg).make_client(1)->name(), "sa");
   EXPECT_EQ(make_baseline_bundle("gc", cfg).make_client(0)->name(), "gc");
+}
+
+// ------------------------------------------------------- SA composition --
+
+// SA's pairwise masks cancel only when every client uploads a lossless
+// update in every round and the server sums them with FedAvg. Every other
+// composition is refused by name at construction instead of silently
+// corrupting the global model; full participation still constructs.
+TEST(SaCompositionTest, RefusesCompositionsWhereMasksCannotCancel) {
+  BaselineDefenseConfig sa_cfg;
+  sa_cfg.num_clients = 4;
+  const auto construct = [&](const fl::SimulationConfig& cfg) {
+    Rng rng(31);
+    data::Dataset full = make_easy_dataset(200, rng);
+    data::FlSplitConfig split_cfg;
+    split_cfg.num_clients = 4;
+    fl::FederatedSimulation sim(tiny_mlp_factory(2, 2),
+                                data::make_fl_split(full, split_cfg, rng), cfg,
+                                make_baseline_bundle("sa", sa_cfg));
+  };
+  fl::SimulationConfig base;
+  base.rounds = 2;
+  base.train = fl::TrainConfig{1, 32};
+  EXPECT_NO_THROW(construct(base));
+
+  struct Case {
+    std::function<void(fl::SimulationConfig&)> set;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {[](auto& c) { c.client_fraction = 0.6; }, "client_fraction = 0.6 < 1"},
+      {[](auto& c) { c.churn.away[1] = {{1, -1}}; }, "membership churn"},
+      {[](auto& c) { c.faults.drop_up = 0.1; }, "drop faults"},
+      {[](auto& c) { c.faults.drop_down = 0.1; }, "drop faults"},
+      {[](auto& c) { c.faults.corrupt_up = 0.1; }, "corrupt faults"},
+      {[](auto& c) { c.faults.corrupt_down = 0.1; }, "corrupt faults"},
+      {[](auto& c) { c.faults.crash_at_round[2] = 1; }, "crash faults"},
+      {[](auto& c) { c.robust.method = "median"; }, "robust.method = 'median'"},
+      {[](auto& c) { c.codec.update.encoding = fl::WireEncoding::kInt8; },
+       "a lossy update codec (int8, topk_fraction 1)"},
+      {[](auto& c) { c.codec.update.topk_fraction = 0.5; },
+       "a lossy update codec (f32, topk_fraction 0.5)"},
+  };
+  for (const Case& tc : cases) {
+    fl::SimulationConfig cfg = base;
+    tc.set(cfg);
+    try {
+      construct(cfg);
+      ADD_FAILURE() << "expected a refusal naming " << tc.error;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("defense 'sa' cannot run with " + tc.error), std::string::npos)
+          << what;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Wire/checkpoint format-version suite: v2 DFRM frames are bit-exact and
+// Wire/state format-version suite: v2 DFRM frames are bit-exact and
 // self-describing, v1 tensor-list *messages* are rejected by name (their
-// read path was removed after the one-release deprecation window), v1 DCKP
-// checkpoints still read, and truncation/corruption at every interesting
-// offset dies with a named error instead of garbage state.
+// read path was removed after the one-release deprecation window), the
+// DFST full-state snapshot carries its magic and version, and
+// truncation/corruption at every interesting offset dies with a named error
+// instead of garbage state.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +11,6 @@
 #include "fl/simulation.h"
 #include "nn/flat_params.h"
 #include "nn/model.h"
-#include "tensor/tensor_serde.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/serde.h"
@@ -19,7 +19,6 @@ namespace dinar {
 namespace {
 
 using dinar::testing::make_easy_dataset;
-using dinar::testing::make_tiny_mlp;
 using dinar::testing::tiny_mlp_factory;
 
 // Format constants under test (mirrors of the implementation values: these
@@ -27,8 +26,7 @@ using dinar::testing::tiny_mlp_factory;
 constexpr std::uint32_t kFlatMsgMagic = 0x4D524644;    // "DFRM"
 constexpr std::uint32_t kGlobalMagicV1 = 0x474D4F44;   // "GMOD"
 constexpr std::uint32_t kUpdateMagicV1 = 0x55504454;   // "UPDT"
-constexpr std::uint32_t kCkptMagic = 0x44434B50;       // "DCKP"
-constexpr std::uint32_t kModelMagic = 0x444E4152;      // "DNAR"
+constexpr std::uint32_t kFullStateMagic = 0x54534644;  // "DFST"
 
 nn::FlatParams sample_params(Rng& rng) {
   std::vector<Tensor> p;
@@ -37,16 +35,16 @@ nn::FlatParams sample_params(Rng& rng) {
   return nn::FlatParams::from_tensors(p);
 }
 
-// Writes the v1 tensor-list payload (count + tensors) exactly as the old
-// builds did — the production writer is gone, so legacy fixtures are
-// hand-assembled here.
+// Writes the v1 tensor-list payload (count, then per tensor its i64 shape
+// vector and raw f32 values) exactly as the old builds did — the
+// production writer is gone, so legacy fixtures are hand-assembled here.
 void write_v1_tensor_list(BinaryWriter& w, const nn::FlatParams& flat) {
   const std::size_t n = flat.index() ? flat.index()->num_entries() : 0;
   w.write_u64(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::span<const float> vals = flat.entry_span(i);
-    write_tensor(w, Tensor(flat.index()->entry(i).shape,
-                           std::vector<float>(vals.begin(), vals.end())));
+    w.write_i64_vector(flat.index()->entry(i).shape);
+    w.write_f32_span(vals.data(), vals.size());
   }
 }
 
@@ -190,7 +188,7 @@ TEST(FormatV2Test, CorruptEntryFlagsAndShortPayloadRejected) {
   }
 }
 
-// ------------------------------------------------------ v1 read support --
+// --------------------------------------------------- v1 frames rejected --
 
 TEST(FormatV1Test, LegacyGlobalFrameRejectedByName) {
   Rng rng(5);
@@ -227,24 +225,6 @@ TEST(FormatV1Test, LegacyUpdateFrameRejectedByName) {
   }
 }
 
-TEST(FormatV1Test, LegacyModelCheckpointLoads) {
-  Rng rng(7);
-  nn::Model m = make_tiny_mlp(2, 2, rng);
-  const nn::FlatParams trained = m.parameters();
-
-  BinaryWriter w;
-  w.write_u32(kModelMagic);
-  w.write_u32(1);  // legacy version
-  write_v1_tensor_list(w, trained);
-  const auto bytes = w.take();
-
-  Rng rng2(99);
-  nn::Model fresh = make_tiny_mlp(2, 2, rng2);
-  BinaryReader r(bytes);
-  fresh.load(r);
-  expect_bitwise_equal(fresh.parameters(), trained);
-}
-
 fl::FederatedSimulation make_sim(int seed) {
   fl::SimulationConfig cfg;
   cfg.rounds = 4;
@@ -258,48 +238,29 @@ fl::FederatedSimulation make_sim(int seed) {
                                  fl::DefenseBundle{});
 }
 
-TEST(FormatV1Test, LegacySimulationCheckpointResumes) {
-  fl::FederatedSimulation sim = make_sim(41);
-  sim.run_round();
-  sim.run_round();
-  const nn::FlatParams global = sim.server().global_params();
-
-  // A v1 checkpoint as an old build would have written it.
-  BinaryWriter w;
-  w.write_u32(kCkptMagic);
-  w.write_u32(1);  // legacy version
-  w.write_i64(sim.server().round());
-  write_v1_tensor_list(w, global);
-  const auto legacy = w.take();
-
-  fl::FederatedSimulation fresh = make_sim(41);
-  BinaryReader r(legacy);
-  fresh.restore_checkpoint(r);
-  EXPECT_EQ(fresh.server().round(), 2);
-  expect_bitwise_equal(fresh.server().global_params(), global);
-
-  // The resumed run completes the remaining rounds.
-  fresh.run();
-  EXPECT_EQ(fresh.server().round(), 4);
-}
-
-TEST(FormatVersionTest, CurrentCheckpointWritesV2) {
+TEST(FormatVersionTest, FullStateWritesCurrentVersion) {
   fl::FederatedSimulation sim = make_sim(42);
   sim.run_round();
   BinaryWriter w;
-  sim.save_checkpoint(w);
+  sim.save_full_state(w);
   const auto& buf = w.buffer();
   std::uint32_t magic = 0, version = 0;
   std::memcpy(&magic, buf.data(), sizeof magic);
   std::memcpy(&version, buf.data() + 4, sizeof version);
-  EXPECT_EQ(magic, kCkptMagic);
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(magic, kFullStateMagic);
+  EXPECT_EQ(version, 4u);
 
   auto future = std::vector<std::uint8_t>(buf.begin(), buf.end());
   future[4] = 9;  // unknown version
   BinaryReader r(future);
   fl::FederatedSimulation fresh = make_sim(42);
-  EXPECT_THROW(fresh.restore_checkpoint(r), Error);
+  try {
+    fresh.restore_full_state(r);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported full-state version"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

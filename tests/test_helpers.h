@@ -1,13 +1,22 @@
 // Shared fixtures: tiny datasets and models sized for fast unit tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.h"
+#include "fl/simulation.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/model.h"
 #include "nn/model_zoo.h"
+#include "store/round_store.h"
+#include "util/serde.h"
 
 namespace dinar::testing {
 
@@ -64,6 +73,45 @@ inline nn::Model make_wide_mlp(std::int64_t in, std::int64_t classes, Rng& rng) 
 
 inline nn::ModelFactory wide_mlp_factory(std::int64_t in, std::int64_t classes) {
   return [in, classes](Rng& rng) { return make_wide_mlp(in, classes, rng); };
+}
+
+// Fresh, empty directory under the gtest temp dir. ctest runs the tests as
+// concurrent processes, so every test needs a name of its own.
+inline std::string fresh_temp_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "dinar_test_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// The simulation's full state (the DFST snapshot payload) as bytes.
+inline std::vector<std::uint8_t> full_state_bytes(const fl::FederatedSimulation& sim) {
+  BinaryWriter w;
+  sim.save_full_state(w);
+  return w.take();
+}
+
+// Crash and resume through the round store: runs a simulation from `make`
+// with a store in `dir` for `kill_after` rounds and drops it the way a
+// killed process would, then recovers a fresh simulation from the store
+// and finishes the run. Returns the resumed run's final full state.
+inline std::vector<std::uint8_t> resume_from_store(
+    const std::function<fl::FederatedSimulation()>& make, const std::string& dir,
+    int kill_after, int snapshot_every) {
+  {
+    store::RoundStore store(dir);
+    fl::FederatedSimulation first = make();
+    first.attach_store(&store, snapshot_every);
+    for (int r = 0; r < kill_after; ++r) first.run_round();
+  }
+  store::RoundStore store(dir);
+  fl::FederatedSimulation resumed = make();
+  resumed.attach_store(&store, snapshot_every);
+  EXPECT_EQ(resumed.recover_from_store(), kill_after);
+  resumed.run();
+  EXPECT_EQ(resumed.server().round(), resumed.config().rounds);
+  resumed.attach_store(nullptr);
+  return full_state_bytes(resumed);
 }
 
 }  // namespace dinar::testing
