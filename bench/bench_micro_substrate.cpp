@@ -3,7 +3,13 @@
 // aggregation, obfuscation, the sensitivity statistics and the durable
 // store's commit tier (CRC-32, WAL append + fsync, snapshot install). Not
 // a paper artifact; used to keep the simulator fast enough for the
-// experiment suite. The store rows report bytes/s only and gate nothing:
+// experiment suite. The ConvLayer/ReluLayer rows time every convolution of
+// ResNetSmall (12x12x3 input) and M5Audio (512 samples) one layer at a
+// time, forward and backward, at the workloads' batch of 64, on 1 and 4
+// threads:
+//
+//   ./bench/bench_micro_substrate --benchmark_filter='ConvLayer|ReluLayer'
+// The store rows report bytes/s only and gate nothing:
 // fsync cost depends on the filesystem under the temp directory.
 #include <benchmark/benchmark.h>
 
@@ -13,10 +19,14 @@
 
 #include "core/obfuscation.h"
 #include "fl/server.h"
+#include "nn/activations.h"
+#include "nn/conv1d.h"
+#include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "store/io.h"
 #include "store/round_store.h"
+#include "util/execution_context.h"
 #include "util/stats.h"
 
 namespace dinar {
@@ -124,6 +134,100 @@ void BM_JsDivergenceSamples(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JsDivergenceSamples);
+
+// One convolution of the two conv workloads. `size` is the input side
+// (Conv2d, square) or length (Conv1d).
+struct ConvLayerRow {
+  const char* name;
+  bool one_d;
+  std::int64_t in_ch, out_ch, kernel, stride, padding, size;
+};
+
+constexpr std::int64_t kLayerBatch = 64;
+
+constexpr ConvLayerRow kConvLayerRows[] = {
+    {"resnet_3x8_k3s1", false, 3, 8, 3, 1, 1, 12},
+    {"resnet_8x8_k3s1", false, 8, 8, 3, 1, 1, 12},
+    {"resnet_8x16_k3s2", false, 8, 16, 3, 2, 1, 12},
+    {"resnet_8x16_k1s2", false, 8, 16, 1, 2, 0, 12},
+    {"resnet_16x16_k3s1", false, 16, 16, 3, 1, 1, 6},
+    {"resnet_16x32_k3s2", false, 16, 32, 3, 2, 1, 6},
+    {"resnet_16x32_k1s2", false, 16, 32, 1, 2, 0, 6},
+    {"resnet_32x32_k3s1", false, 32, 32, 3, 1, 1, 3},
+    {"m5_1x8_k16s4", true, 1, 8, 16, 4, 0, 512},
+    {"m5_8x16_k3s1", true, 8, 16, 3, 1, 1, 31},
+    {"m5_16x32_k3s1", true, 16, 32, 3, 1, 1, 7},
+    {"m5_32x32_k3s1", true, 32, 32, 3, 1, 1, 7},
+};
+
+std::unique_ptr<nn::Layer> make_conv_layer(const ConvLayerRow& row, Rng& rng) {
+  if (row.one_d)
+    return std::make_unique<nn::Conv1d>(row.in_ch, row.out_ch, row.kernel, row.stride,
+                                        row.padding, rng);
+  return std::make_unique<nn::Conv2d>(row.in_ch, row.out_ch, row.kernel, row.stride,
+                                      row.padding, rng);
+}
+
+Shape conv_input_shape(const ConvLayerRow& row) {
+  if (row.one_d) return {kLayerBatch, row.in_ch, row.size};
+  return {kLayerBatch, row.in_ch, row.size, row.size};
+}
+
+// Forward (train mode, so the input is cached as in local training) or
+// backward of one layer; backward reuses a single cached forward.
+void run_conv_layer(benchmark::State& state, const ConvLayerRow& row, bool backward,
+                    unsigned threads) {
+  const ExecutionContext exec(ExecConfig{.threads = threads, .grain = 1});
+  Rng rng(9);
+  std::unique_ptr<nn::Layer> layer = make_conv_layer(row, rng);
+  layer->set_execution_context(&exec);
+  const Tensor x = Tensor::gaussian(conv_input_shape(row), rng);
+  const Tensor y = layer->forward(x, true);
+  const Tensor g = Tensor::gaussian(y.shape(), rng);
+  for (auto _ : state) {
+    Tensor out = backward ? layer->backward(g) : layer->forward(x, true);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// ReLU over the ResNetSmall stem's activation, [64, 8, 12, 12].
+void run_relu_layer(benchmark::State& state, bool backward) {
+  Rng rng(10);
+  nn::ReLU relu;
+  const Tensor x = Tensor::gaussian({kLayerBatch, 8, 12, 12}, rng);
+  const Tensor g = Tensor::gaussian(x.shape(), rng);
+  relu.forward(x, true);
+  for (auto _ : state) {
+    Tensor out = backward ? relu.backward(g) : relu.forward(x, true);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+bool register_layer_rows() {
+  for (const ConvLayerRow& row : kConvLayerRows)
+    for (const bool backward : {false, true})
+      for (const unsigned threads : {1u, 4u}) {
+        const std::string name = std::string("ConvLayer/") + row.name +
+                                 (backward ? "/backward" : "/forward") +
+                                 "/threads:" + std::to_string(threads);
+        benchmark::RegisterBenchmark(name.c_str(),
+                                     [&row, backward, threads](benchmark::State& state) {
+                                       run_conv_layer(state, row, backward, threads);
+                                     })
+            ->Unit(benchmark::kMicrosecond);
+      }
+  for (const bool backward : {false, true})
+    benchmark::RegisterBenchmark(backward ? "ReluLayer/backward" : "ReluLayer/forward",
+                                 [backward](benchmark::State& state) {
+                                   run_relu_layer(state, backward);
+                                 })
+        ->Unit(benchmark::kMicrosecond);
+  return true;
+}
+
+[[maybe_unused]] const bool kLayerRowsRegistered = register_layer_rows();
 
 // A fresh directory under the system temp dir, removed on destruction.
 struct ScratchDir {

@@ -1,6 +1,5 @@
 #include "nn/conv1d.h"
 
-#include "nn/conv_kernels.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -16,46 +15,37 @@ Conv1d::Conv1d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   DINAR_CHECK(stride >= 1 && kernel >= 1 && padding >= 0, "invalid conv1d geometry");
 }
 
+ConvShape Conv1d::shape_for(const Tensor& x) const {
+  const std::int64_t l = x.dim(2);
+  return ConvShape{.batch = x.dim(0), .in_ch = in_ch_, .in_h = 1, .in_w = l,
+                   .out_ch = out_ch_, .kernel_h = 1, .kernel_w = kernel_,
+                   .stride = stride_, .pad_h = 0, .pad_w = padding_,
+                   .out_h = 1, .out_w = out_size(l)};
+}
+
 Tensor Conv1d::forward(const Tensor& x, bool train) {
   DINAR_CHECK(x.rank() == 3 && x.dim(1) == in_ch_,
               name() << " got input " << shape_to_string(x.shape()));
-  const std::int64_t b = x.dim(0), l = x.dim(2);
-  const std::int64_t ol = out_size(l);
-  DINAR_CHECK(ol >= 1, name() << ": input too short");
-
-  // A 1-D convolution is the height-1 special case of the 2-D im2col path:
-  // [B, C, L] is viewed as [B, C, 1, L] with a (1, K) kernel.
-  Tensor cols = im2col2d(x.reshaped({b, in_ch_, 1, l}), 1, kernel_, stride_, 0,
-                         padding_, 1, ol, exec_);
-  if (train) {
-    cached_input_ = x;
-    cached_cols_ = cols;
-  }
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_});
-  const Tensor rows = gemm(Trans::kN, Trans::kT, cols, wmat, exec_);
-  return scatter_output_rows2d(rows, bias_, b, 1, ol, exec_)
-      .reshaped({b, out_ch_, ol});
+  const ConvShape s = shape_for(x);
+  DINAR_CHECK(s.out_w >= 1, name() << ": input too short");
+  Tensor y({s.batch, out_ch_, s.out_w});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), y.data(), exec_);
+  if (train) cached_input_ = x;
+  return y;
 }
 
 Tensor Conv1d::backward(const Tensor& grad_out) {
   DINAR_CHECK(!cached_input_.empty(), "Conv1d::backward without cached forward");
   const Tensor& x = cached_input_;
-  const std::int64_t b = x.dim(0), l = x.dim(2);
-  const std::int64_t ol = out_size(l);
-  DINAR_CHECK(grad_out.rank() == 3 && grad_out.dim(1) == out_ch_ && grad_out.dim(2) == ol,
+  const ConvShape s = shape_for(x);
+  DINAR_CHECK(grad_out.rank() == 3 && grad_out.dim(0) == s.batch &&
+                  grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.out_w,
               "Conv1d backward shape mismatch");
-
-  const Tensor gmat =
-      gather_grad_rows2d(grad_out.reshaped({b, out_ch_, 1, ol}), exec_);
-  grad_weight_ +=
-      gemm(Trans::kT, Trans::kN, gmat, cached_cols_, exec_).reshaped(weight_.shape());
-  accumulate_bias_grad(gmat, grad_bias_, exec_);
-
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_});
-  const Tensor dcols = gemm(Trans::kN, Trans::kN, gmat, wmat, exec_);
-  Tensor dx4({b, in_ch_, 1, l});
-  col2im2d(dcols, dx4, 1, kernel_, stride_, 0, padding_, 1, ol, exec_);
-  return dx4.reshaped({b, in_ch_, l});
+  conv_param_grads(s, x.data(), grad_out.data(), grad_weight_.data(), grad_bias_.data(),
+                   exec_);
+  Tensor dx(x.shape());
+  conv_input_grad(s, grad_out.data(), weight_.data(), dx.data(), exec_);
+  return dx;
 }
 
 std::string Conv1d::name() const {

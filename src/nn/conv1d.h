@@ -1,7 +1,10 @@
 // 1-D convolution over [B, C, L] inputs — the audio path (paper's Speech
-// Commands / M18 substitute operates on raw synthetic waveforms).
+// Commands / M18 substitute operates on raw synthetic waveforms). It runs
+// the 2-D convolution kernels as their height-1 case, on the [B, C, L]
+// data as it is (nn/conv_kernels.h).
 #pragma once
 
+#include "nn/conv_kernels.h"
 #include "nn/layer.h"
 
 namespace dinar::nn {
@@ -30,7 +33,8 @@ class Conv1d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor cached_input_;
-  Tensor cached_cols_;  // im2col of cached_input_, reused by backward
+
+  ConvShape shape_for(const Tensor& x) const;
 };
 
 }  // namespace dinar::nn

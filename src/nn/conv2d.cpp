@@ -1,6 +1,5 @@
 #include "nn/conv2d.h"
 
-#include "nn/conv_kernels.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -17,44 +16,37 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   DINAR_CHECK(stride >= 1 && kernel >= 1 && padding >= 0, "invalid conv2d geometry");
 }
 
+ConvShape Conv2d::shape_for(const Tensor& x) const {
+  const std::int64_t h = x.dim(2), w = x.dim(3);
+  return ConvShape{.batch = x.dim(0), .in_ch = in_ch_, .in_h = h, .in_w = w,
+                   .out_ch = out_ch_, .kernel_h = kernel_, .kernel_w = kernel_,
+                   .stride = stride_, .pad_h = padding_, .pad_w = padding_,
+                   .out_h = out_size(h), .out_w = out_size(w)};
+}
+
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   DINAR_CHECK(x.rank() == 4 && x.dim(1) == in_ch_,
               name() << " got input " << shape_to_string(x.shape()));
-  const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = out_size(h), ow = out_size(w);
-  DINAR_CHECK(oh >= 1 && ow >= 1, name() << ": input spatially too small");
-
-  // im2col lowering: one gemm against the [OC, IC*K*K] weight view instead
-  // of the former per-output scalar loops (see nn/conv_kernels.h).
-  Tensor cols = im2col2d(x, kernel_, kernel_, stride_, padding_, padding_, oh, ow,
-                         exec_);
-  if (train) {
-    cached_input_ = x;
-    cached_cols_ = cols;  // reused by backward's weight-gradient gemm
-  }
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_ * kernel_});
-  const Tensor rows = gemm(Trans::kN, Trans::kT, cols, wmat, exec_);
-  return scatter_output_rows2d(rows, bias_, b, oh, ow, exec_);
+  const ConvShape s = shape_for(x);
+  DINAR_CHECK(s.out_h >= 1 && s.out_w >= 1, name() << ": input spatially too small");
+  Tensor y({s.batch, out_ch_, s.out_h, s.out_w});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), y.data(), exec_);
+  if (train) cached_input_ = x;
+  return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   DINAR_CHECK(!cached_input_.empty(), "Conv2d::backward without cached forward");
   const Tensor& x = cached_input_;
-  const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = out_size(h), ow = out_size(w);
-  DINAR_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == out_ch_ &&
-                  grad_out.dim(2) == oh && grad_out.dim(3) == ow,
+  const ConvShape s = shape_for(x);
+  DINAR_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == s.batch &&
+                  grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.out_h &&
+                  grad_out.dim(3) == s.out_w,
               "Conv2d backward shape mismatch");
-
-  const Tensor gmat = gather_grad_rows2d(grad_out, exec_);  // [B*OH*OW, OC]
-  grad_weight_ +=
-      gemm(Trans::kT, Trans::kN, gmat, cached_cols_, exec_).reshaped(weight_.shape());
-  accumulate_bias_grad(gmat, grad_bias_, exec_);
-
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_ * kernel_});
-  const Tensor dcols = gemm(Trans::kN, Trans::kN, gmat, wmat, exec_);
-  Tensor dx({b, in_ch_, h, w});
-  col2im2d(dcols, dx, kernel_, kernel_, stride_, padding_, padding_, oh, ow, exec_);
+  conv_param_grads(s, x.data(), grad_out.data(), grad_weight_.data(), grad_bias_.data(),
+                   exec_);
+  Tensor dx(x.shape());
+  conv_input_grad(s, grad_out.data(), weight_.data(), dx.data(), exec_);
   return dx;
 }
 

@@ -1,10 +1,11 @@
-// 2-D convolution over [B, C, H, W] inputs (direct algorithm).
+// 2-D convolution over [B, C, H, W] inputs.
 //
-// The models in this repo run on 12x12 synthetic images with tens of
-// channels, where the direct triple loop is both fast enough and easy to
-// verify against finite differences.
+// Forward and backward run on the gemm driver with operands packed
+// straight from the NCHW input and gradient (nn/conv_kernels.h); backward
+// keeps only the forward input, never a patch matrix.
 #pragma once
 
+#include "nn/conv_kernels.h"
 #include "nn/layer.h"
 
 namespace dinar::nn {
@@ -33,7 +34,8 @@ class Conv2d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor cached_input_;
-  Tensor cached_cols_;  // im2col of cached_input_, reused by backward
+
+  ConvShape shape_for(const Tensor& x) const;
 };
 
 }  // namespace dinar::nn

@@ -1,10 +1,21 @@
 #include "nn/pooling.h"
 
-#include <limits>
+#include <cmath>
 
 #include "util/error.h"
 
 namespace dinar::nn {
+namespace {
+
+// Max-pool selection: each window starts from its own first element, a
+// larger value takes over, and a NaN takes over from any number so it
+// propagates (DESIGN.md §9). The first maximum (or first NaN) keeps the
+// gradient.
+bool beats(float candidate, float best) {
+  return candidate > best || (std::isnan(candidate) && !std::isnan(best));
+}
+
+}  // namespace
 
 MaxPool2d::MaxPool2d(std::int64_t window) : window_(window) {
   DINAR_CHECK(window >= 1, "pool window must be >= 1");
@@ -28,19 +39,15 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
       const float* plane = px + (n * c + ch) * h * w;
       for (std::int64_t i = 0; i < oh; ++i) {
         for (std::int64_t j = 0; j < ow; ++j, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
+          std::int64_t best = (i * window_) * w + j * window_;
           for (std::int64_t di = 0; di < window_; ++di) {
             for (std::int64_t dj = 0; dj < window_; ++dj) {
               const std::int64_t idx = (i * window_ + di) * w + (j * window_ + dj);
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = (n * c + ch) * h * w + idx;
-              }
+              if (beats(plane[idx], plane[best])) best = idx;
             }
           }
-          py[out_idx] = best;
-          if (train) argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
+          py[out_idx] = plane[best];
+          if (train) argmax_[static_cast<std::size_t>(out_idx)] = (n * c + ch) * h * w + best;
         }
       }
     }
@@ -87,17 +94,11 @@ Tensor MaxPool1d::forward(const Tensor& x, bool train) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float* row = px + (n * c + ch) * l;
       for (std::int64_t i = 0; i < ol; ++i, ++out_idx) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::int64_t best_idx = 0;
-        for (std::int64_t d = 0; d < window_; ++d) {
-          const std::int64_t idx = i * window_ + d;
-          if (row[idx] > best) {
-            best = row[idx];
-            best_idx = (n * c + ch) * l + idx;
-          }
-        }
-        py[out_idx] = best;
-        if (train) argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
+        std::int64_t best = i * window_;
+        for (std::int64_t d = 1; d < window_; ++d)
+          if (beats(row[i * window_ + d], row[best])) best = i * window_ + d;
+        py[out_idx] = row[best];
+        if (train) argmax_[static_cast<std::size_t>(out_idx)] = (n * c + ch) * l + best;
       }
     }
   }

@@ -1,14 +1,15 @@
 // Internal packed-panel gemm microkernels (included by tensor.cpp and the
 // per-ISA kernel TUs only — not part of the public tensor API).
 //
-// gemm() packs both operands before any arithmetic:
+// gemm_packed() (tensor.h), the driver under gemm() and the convolution
+// layers, has its operands pack themselves before any arithmetic:
 //
 //   packed A row-block:  k contiguous groups of kGemmMR floats; group kk
-//                        holds op(a)[i0+0 .. i0+MR-1][kk], rows past m
-//                        zero-padded.
+//                        holds element kk of rows i0+0 .. i0+MR-1, rows
+//                        past m zero-padded.
 //   packed B col-panel:  per panel bj, k contiguous groups of kGemmNR
-//                        floats; group kk holds op(b)[kk][bj*NR .. +NR-1],
-//                        columns past n zero-padded.
+//                        floats; group kk holds element kk of columns
+//                        bj*NR .. +NR-1, columns past n zero-padded.
 //
 // A microkernel invocation multiplies one packed A row-block against every
 // packed B panel and writes up to kGemmMR finished rows of C. Numerics

@@ -135,11 +135,21 @@ float Tensor::at(std::int64_t r, std::int64_t c) const {
   return data_[static_cast<std::size_t>(r * shape_[1] + c)];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
   DINAR_CHECK(shape_numel(new_shape) == numel_,
               "reshape " << shape_to_string(shape_) << " -> "
                          << shape_to_string(new_shape) << " changes numel");
+  MemoryTracker::instance().record_copy(data_.size() * sizeof(float));
   return Tensor(std::move(new_shape), data_);
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
+  DINAR_CHECK(shape_numel(new_shape) == numel_,
+              "reshape " << shape_to_string(shape_) << " -> "
+                         << shape_to_string(new_shape) << " changes numel");
+  Tensor out = std::move(*this);
+  out.shape_ = std::move(new_shape);
+  return out;
 }
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
@@ -211,17 +221,19 @@ Tensor scale(const Tensor& a, float s) {
 
 namespace {
 
-using detail::kGemmMR;
-using detail::kGemmNR;
+static_assert(detail::kGemmMR == kGemmPanel && detail::kGemmNR == kGemmPanel,
+              "operands pack one panel width for both gemm sides");
 
 // Per-thread packing scratch, reused across gemm calls so the hot loop is
-// allocation-free after warm-up. `bpack` holds the shared packed op(b)
+// allocation-free after warm-up. `bpack` holds the shared packed b
 // (written by the calling thread / packing chunks, read by everyone);
-// `apack` holds one row-block of op(a) and is touched only by the thread
-// executing that block. The vectors only ever grow.
+// `apack` holds one row-block of a and `tile` one row-block of C for an
+// epilogue, both touched only by the thread executing that block. The
+// vectors only ever grow.
 struct GemmScratch {
   std::vector<float> bpack;
   std::vector<float> apack;
+  std::vector<float> tile;
 };
 
 GemmScratch& gemm_scratch() {
@@ -229,9 +241,18 @@ GemmScratch& gemm_scratch() {
   return scratch;
 }
 
+// Never returns null, so a zero-depth product still hands the microkernel
+// valid (unread) panel pointers.
 float* grown(std::vector<float>& v, std::size_t need) {
-  if (v.size() < need) v.resize(need);
+  if (v.size() < need) v.resize(std::max<std::size_t>(need, 1));
   return v.data();
+}
+
+// Multiply-adds per parallel chunk. Kernel-aware: the SIMD tiers retire
+// roughly 8x the flops per cycle of the scalar oracle, so they need
+// proportionally more work per chunk before splitting pays.
+std::int64_t chunk_target_madds(GemmKernel kernel) {
+  return kernel == GemmKernel::kScalar ? 32768 : 262144;
 }
 
 // k*n without signed-overflow UB on degenerate or adversarial shapes:
@@ -246,19 +267,14 @@ std::int64_t saturating_per_row_work(std::int64_t k, std::int64_t n) {
 }
 
 // Row-blocks per parallel chunk, sized so a chunk is worth a pool
-// dispatch. Kernel-aware: the SIMD tiers retire roughly 8x the flops per
-// cycle of the scalar oracle, so they need proportionally more work per
-// chunk before splitting pays — the old flat 32768-flops heuristic
-// over-split the fast kernel into dispatch-bound confetti.
+// dispatch.
 std::size_t gemm_block_grain(GemmKernel kernel, std::int64_t k, std::int64_t n) {
-  const std::int64_t target_madds =
-      kernel == GemmKernel::kScalar ? 32768 : 262144;
   const std::int64_t per_row = saturating_per_row_work(k, n);
-  const std::int64_t rows = std::max<std::int64_t>(1, target_madds / per_row);
-  return static_cast<std::size_t>((rows + kGemmMR - 1) / kGemmMR);
+  const std::int64_t rows = std::max<std::int64_t>(1, chunk_target_madds(kernel) / per_row);
+  return static_cast<std::size_t>((rows + kGemmPanel - 1) / kGemmPanel);
 }
 
-// B panels per packing chunk (each panel writes k * kGemmNR floats).
+// B panels per packing chunk (each panel writes k * kGemmPanel floats).
 std::size_t pack_panel_grain(std::int64_t k) {
   return static_cast<std::size_t>(
       std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(1, k)));
@@ -278,7 +294,109 @@ detail::GemmBlockFn gemm_block_fn(GemmKernel kernel) {
   return detail::gemm_block_scalar;
 }
 
+// The one gemm loop behind both gemm_packed forms (and so behind gemm()).
+void run_gemm(const GemmOperand& a, const GemmOperand& b, float* c,
+              const GemmEpilogue* epilogue, const ExecutionContext* exec,
+              GemmKernel kernel) {
+  const std::int64_t m = a.lines(), n = b.lines(), k = a.depth();
+  DINAR_CHECK(b.depth() == k, "gemm operand depth mismatch: " << k << " vs " << b.depth());
+  if (m == 0 || n == 0) return;
+  DINAR_CHECK(gemm_kernel_available(kernel),
+              "gemm kernel '" << gemm_kernel_name(kernel)
+                              << "' is not available in this build/host");
+  const detail::GemmBlockFn block_fn = gemm_block_fn(kernel);
+  const std::int64_t mblocks = (m + kGemmPanel - 1) / kGemmPanel;
+  const std::int64_t npanels = (n + kGemmPanel - 1) / kGemmPanel;
+
+  // Pack b once into the calling thread's arena: per panel, k groups of
+  // kGemmPanel floats. Panels are disjoint, so packing parallelizes with
+  // deterministic contents.
+  float* bpack = grown(gemm_scratch().bpack,
+                       static_cast<std::size_t>(npanels * k * kGemmPanel));
+  const auto pack_b = [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t bj = p0; bj < p1; ++bj) {
+      const std::int64_t j0 = bj * kGemmPanel;
+      b.pack(j0, std::min<std::int64_t>(kGemmPanel, n - j0), bpack + bj * k * kGemmPanel);
+    }
+  };
+  if (exec != nullptr)
+    exec->parallel_for(npanels, pack_b, pack_panel_grain(k));
+  else
+    pack_b(0, npanels);
+
+  // Compute parallelizes over whole row-blocks (never raw rows): a chunk
+  // boundary can only fall between blocks, so which rows share a
+  // microkernel call — and therefore every element's operation sequence —
+  // is independent of the thread count. Each executing thread packs the
+  // current a row-block into its own scratch arena right before use.
+  const auto row_blocks = [&](std::int64_t blk0, std::int64_t blk1) {
+    GemmScratch& scratch = gemm_scratch();
+    float* apack = grown(scratch.apack, static_cast<std::size_t>(k * kGemmPanel));
+    float* tile = epilogue != nullptr
+                      ? grown(scratch.tile, static_cast<std::size_t>(kGemmPanel * n))
+                      : nullptr;
+    for (std::int64_t bi = blk0; bi < blk1; ++bi) {
+      const std::int64_t i0 = bi * kGemmPanel;
+      const std::int64_t rows = std::min<std::int64_t>(kGemmPanel, m - i0);
+      a.pack(i0, rows, apack);
+      if (epilogue != nullptr) {
+        block_fn(rows, n, k, apack, bpack, tile);
+        (*epilogue)(i0, rows, tile);
+      } else {
+        block_fn(rows, n, k, apack, bpack, c + i0 * n);
+      }
+    }
+  };
+  if (exec != nullptr)
+    exec->parallel_for(mblocks, row_blocks, gemm_block_grain(kernel, k, n));
+  else
+    row_blocks(0, mblocks);
+}
+
 }  // namespace
+
+void StridedOperand::pack(std::int64_t first, std::int64_t count, float* dst) const {
+  const std::int64_t k = depth();
+  const float* src = data_ + first * line_stride_;
+  if (depth_stride_ == 1) {
+    // Lines are contiguous: stream each one, strided writes into the
+    // L1-resident pack buffer.
+    for (std::int64_t r = 0; r < kGemmPanel; ++r) {
+      if (r < count) {
+        const float* line = src + r * line_stride_;
+        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * kGemmPanel + r] = line[kk];
+      } else {
+        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * kGemmPanel + r] = 0.0f;
+      }
+    }
+    return;
+  }
+  // Each kk step reads `count` values one line stride apart.
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    float* group = dst + kk * kGemmPanel;
+    const float* at = src + kk * depth_stride_;
+    std::int64_t r = 0;
+    for (; r < count; ++r) group[r] = at[r * line_stride_];
+    for (; r < kGemmPanel; ++r) group[r] = 0.0f;
+  }
+}
+
+void gemm_packed(const GemmOperand& a, const GemmOperand& b, float* c,
+                 const ExecutionContext* exec, GemmKernel kernel) {
+  run_gemm(a, b, c, nullptr, exec, kernel);
+}
+
+void gemm_packed(const GemmOperand& a, const GemmOperand& b,
+                 const GemmEpilogue& epilogue, const ExecutionContext* exec,
+                 GemmKernel kernel) {
+  run_gemm(a, b, nullptr, &epilogue, exec, kernel);
+}
+
+std::size_t gemm_item_grain(GemmKernel kernel, std::int64_t madds_per_item) {
+  const std::int64_t per_item = std::max<std::int64_t>(1, madds_per_item);
+  return static_cast<std::size_t>(
+      std::max<std::int64_t>(1, chunk_target_madds(kernel) / per_item));
+}
 
 Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
             const ExecutionContext* exec) {
@@ -298,93 +416,14 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
                            << shape_to_string(b.shape()));
   Tensor out({m, n});
   // Degenerate shapes: an empty output, or an empty reduction axis whose
-  // product is all zeros — the zero-initialized tensor is already correct,
-  // and the packing math below assumes every extent is positive.
+  // product is all zeros — the zero-initialized tensor is already correct.
   if (m == 0 || n == 0 || k == 0) return out;
-  DINAR_CHECK(gemm_kernel_available(kernel),
-              "gemm kernel '" << gemm_kernel_name(kernel)
-                              << "' is not available in this build/host");
-  const detail::GemmBlockFn block_fn = gemm_block_fn(kernel);
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // Element (i, kk) of the logical [m, k] operand op(a), and (kk, j) of the
-  // logical [k, n] operand op(b), expressed as strides into the stored data
-  // so all four Trans combinations share the packing code.
-  const std::int64_t a_row_stride = trans_a == Trans::kN ? k : 1;
-  const std::int64_t a_k_stride = trans_a == Trans::kN ? 1 : m;
-  const std::int64_t b_k_stride = trans_b == Trans::kN ? n : 1;
-  const std::int64_t b_col_stride = trans_b == Trans::kN ? 1 : k;
-
-  const std::int64_t mblocks = (m + kGemmMR - 1) / kGemmMR;
-  const std::int64_t npanels = (n + kGemmNR - 1) / kGemmNR;
-
-  // Pack op(b) once into the calling thread's arena: per panel, k groups
-  // of kGemmNR floats, edge columns zero-padded. Panels are disjoint, so
-  // packing parallelizes with deterministic contents.
-  float* bpack = grown(gemm_scratch().bpack,
-                       static_cast<std::size_t>(npanels * k * kGemmNR));
-  const auto pack_b = [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t bj = p0; bj < p1; ++bj) {
-      const std::int64_t j0 = bj * kGemmNR;
-      const std::int64_t cols = std::min<std::int64_t>(kGemmNR, n - j0);
-      float* panel = bpack + bj * k * kGemmNR;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float* dst = panel + kk * kGemmNR;
-        const float* src = pb + kk * b_k_stride + j0 * b_col_stride;
-        std::int64_t j = 0;
-        for (; j < cols; ++j) dst[j] = src[j * b_col_stride];
-        for (; j < kGemmNR; ++j) dst[j] = 0.0f;
-      }
-    }
-  };
-  if (exec != nullptr)
-    exec->parallel_for(npanels, pack_b, pack_panel_grain(k));
-  else
-    pack_b(0, npanels);
-
-  // Compute parallelizes over whole row-blocks (never raw rows): a chunk
-  // boundary can only fall between blocks, so which rows share a
-  // microkernel call — and therefore every element's operation sequence —
-  // is independent of the thread count. Each executing thread packs the
-  // current A row-block into its own scratch arena right before use.
-  const auto row_blocks = [&](std::int64_t blk0, std::int64_t blk1) {
-    float* apack =
-        grown(gemm_scratch().apack, static_cast<std::size_t>(k * kGemmMR));
-    for (std::int64_t bi = blk0; bi < blk1; ++bi) {
-      const std::int64_t i0 = bi * kGemmMR;
-      const std::int64_t rows = std::min<std::int64_t>(kGemmMR, m - i0);
-      if (a_k_stride == 1) {
-        // op(a) rows are contiguous: stream each row, strided writes into
-        // the L1-resident pack buffer.
-        for (std::int64_t r = 0; r < kGemmMR; ++r) {
-          if (r < rows) {
-            const float* arow = pa + (i0 + r) * a_row_stride;
-            for (std::int64_t kk = 0; kk < k; ++kk)
-              apack[kk * kGemmMR + r] = arow[kk];
-          } else {
-            for (std::int64_t kk = 0; kk < k; ++kk)
-              apack[kk * kGemmMR + r] = 0.0f;
-          }
-        }
-      } else {
-        // Transposed operand: each kk step reads kGemmMR contiguous floats.
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          float* dst = apack + kk * kGemmMR;
-          const float* src = pa + i0 * a_row_stride + kk * a_k_stride;
-          std::int64_t r = 0;
-          for (; r < rows; ++r) dst[r] = src[r * a_row_stride];
-          for (; r < kGemmMR; ++r) dst[r] = 0.0f;
-        }
-      }
-      block_fn(rows, n, k, apack, bpack, po + i0 * n);
-    }
-  };
-  if (exec != nullptr)
-    exec->parallel_for(mblocks, row_blocks, gemm_block_grain(kernel, k, n));
-  else
-    row_blocks(0, mblocks);
+  // Rows of op(a) and columns of op(b) as strided lines over k.
+  const StridedOperand lines_a(a.data(), m, k, trans_a == Trans::kN ? k : 1,
+                               trans_a == Trans::kN ? 1 : m);
+  const StridedOperand lines_b(b.data(), n, k, trans_b == Trans::kN ? 1 : k,
+                               trans_b == Trans::kN ? n : 1);
+  gemm_packed(lines_a, lines_b, out.data(), exec, kernel);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -65,8 +66,12 @@ class Tensor {
   float& at(std::int64_t r, std::int64_t c);
   float at(std::int64_t r, std::int64_t c) const;
 
-  // Returns a tensor with the same data and a new shape (same numel).
-  Tensor reshaped(Shape new_shape) const;
+  // Returns a tensor with the same data and a new shape (same numel). On
+  // an lvalue the data is copied (and counted by MemoryTracker); on an
+  // rvalue the storage moves into the result, so reshaping a temporary
+  // copies nothing.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   void fill(float value);
   void zero() { fill(0.0f); }
@@ -108,18 +113,15 @@ Tensor scale(const Tensor& a, float s);
 enum class Trans : std::uint8_t { kN, kT };
 
 // General matrix multiply: op(a) op(b) -> [m, n], where op is identity
-// (kN) or transpose (kT). This is the single compute entry point that
-// replaced the matmul / matmul_tn / matmul_nt trio. Both operands are
-// packed into register-block panels and multiplied by an 8x8 microkernel
-// selected at runtime (tensor/cpu_features.h): AVX2+FMA where the build
-// and host allow it, a structurally identical scalar oracle everywhere
-// else; `DINAR_GEMM_KERNEL=scalar|avx2` pins the choice process-wide.
-// When `exec` is non-null the output is parallelized over whole 8-row
-// blocks via ExecutionContext::parallel_for. Every output element is
-// accumulated by exactly one block in ascending k-order, so for a given
-// kernel results are bit-identical for every thread count (and to
-// `exec == nullptr`); scalar and SIMD kernels agree within a small
-// relative tolerance (FMA rounding only — see DESIGN.md §9).
+// (kN) or transpose (kT). This is the compute entry point for dense
+// operands; it runs on gemm_packed() below with both operands read through
+// strides, so it shares that driver's packing, dispatch and numerics
+// contract. `DINAR_GEMM_KERNEL=scalar|avx2` pins the microkernel
+// process-wide (tensor/cpu_features.h). When `exec` is non-null the output
+// is parallelized over whole 8-row blocks; for a given kernel results are
+// bit-identical for every thread count (and to `exec == nullptr`); scalar
+// and SIMD kernels agree within a small relative tolerance (FMA rounding
+// only — see DESIGN.md §9).
 Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
             const ExecutionContext* exec = nullptr);
 
@@ -127,6 +129,78 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
 // in-process; gemm_kernel_available(kernel) must hold).
 Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
             const ExecutionContext* exec, GemmKernel kernel);
+
+// -- the gemm driver ---------------------------------------------------------
+// gemm_packed() multiplies operands it only ever sees through pack(): an
+// operand is a [lines, depth] matrix — the rows of op(a), or the columns of
+// op(b) — handed over kGemmPanel lines at a time. Dense operands are read
+// through strides (StridedOperand); the convolution layers supply operands
+// that gather input patches straight from NCHW data, so no patch matrix is
+// ever materialized (nn/conv_kernels.h).
+
+// Lines per packed panel (the microkernel's register block, 8x8).
+inline constexpr std::int64_t kGemmPanel = 8;
+
+class GemmOperand {
+ public:
+  GemmOperand(std::int64_t lines, std::int64_t depth) : lines_(lines), depth_(depth) {}
+
+  std::int64_t lines() const { return lines_; }
+  std::int64_t depth() const { return depth_; }
+
+  // Writes lines [first, first + count), 1 <= count <= kGemmPanel, as
+  // depth() groups of kGemmPanel floats: slot r of group kk holds element kk
+  // of line first + r, and the slots of lines past `count` hold 0.0f.
+  // Values are copied as they are (zeros stay explicit operands, so
+  // 0 x NaN still reaches the microkernel). Called concurrently for
+  // disjoint line ranges.
+  virtual void pack(std::int64_t first, std::int64_t count, float* dst) const = 0;
+
+ protected:
+  // Operands are used in place, never deleted through this base.
+  ~GemmOperand() = default;
+
+ private:
+  std::int64_t lines_, depth_;
+};
+
+// Element (line, kk) at data[line * line_stride + kk * depth_stride].
+class StridedOperand final : public GemmOperand {
+ public:
+  StridedOperand(const float* data, std::int64_t lines, std::int64_t depth,
+                 std::int64_t line_stride, std::int64_t depth_stride)
+      : GemmOperand(lines, depth), data_(data), line_stride_(line_stride),
+        depth_stride_(depth_stride) {}
+  void pack(std::int64_t first, std::int64_t count, float* dst) const override;
+
+ private:
+  const float* data_;
+  std::int64_t line_stride_, depth_stride_;
+};
+
+// Receives one finished row-block of C: rows [i0, i0 + rows) of the [m, n]
+// product, row r at tile[r * n]. Called concurrently for disjoint blocks.
+using GemmEpilogue =
+    std::function<void(std::int64_t i0, std::int64_t rows, const float* tile)>;
+
+// C[i][j] = sum over kk of a(i, kk) * b(j, kk), for a.lines() x b.lines()
+// outputs over a shared depth. b is packed once into the calling thread's
+// scratch (parallel over panels); a is packed one row-block at a time by
+// whichever thread computes that block, right before the microkernel
+// consumes it. Every output element has one accumulator, updated in
+// ascending kk order inside one microkernel call, so a fixed kernel gives
+// bit-identical results for every thread count. The first form writes C
+// row-major into c; the second passes each row-block to `epilogue`.
+void gemm_packed(const GemmOperand& a, const GemmOperand& b, float* c,
+                 const ExecutionContext* exec, GemmKernel kernel);
+void gemm_packed(const GemmOperand& a, const GemmOperand& b,
+                 const GemmEpilogue& epilogue, const ExecutionContext* exec,
+                 GemmKernel kernel);
+
+// Items per parallel_for chunk for a loop whose items each cost
+// `madds_per_item` multiply-adds on `kernel`: the same per-chunk work
+// target gemm_packed uses for its row-blocks.
+std::size_t gemm_item_grain(GemmKernel kernel, std::int64_t madds_per_item);
 
 // -- span kernels ------------------------------------------------------------
 // Elementwise math over raw float ranges. These are the inner loops of the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "gradcheck.h"
@@ -236,6 +237,47 @@ TEST(MaxPool1dTest, SelectsAndRoutes) {
   Tensor dx = pool.backward(Tensor({1, 1, 1}, {2.0f}));
   EXPECT_EQ(dx.at(2), 2.0f);
   EXPECT_EQ(dx.at(0), 0.0f);
+}
+
+TEST(MaxPool2dTest, AllNegativeInfinityWindowRoutesToItsOwnElement) {
+  MaxPool2d pool(2);
+  const float inf = std::numeric_limits<float>::infinity();
+  // Two windows side by side; the second holds only -inf.
+  Tensor x({1, 1, 2, 4}, {1.0f, 2.0f, -inf, -inf, 3.0f, 4.0f, -inf, -inf});
+  Tensor y = pool.forward(x, true);
+  EXPECT_EQ(y.at(1), -inf);
+  Tensor dx = pool.backward(Tensor({1, 1, 1, 2}, {1.0f, 5.0f}));
+  EXPECT_EQ(dx.at(5), 1.0f);
+  EXPECT_EQ(dx.at(2), 5.0f);  // the window's own first element, not dx[0]
+  EXPECT_EQ(dx.at(0), 0.0f);
+}
+
+TEST(MaxPool2dTest, NanBesideFiniteValuesPropagates) {
+  MaxPool2d pool(2);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({1, 1, 2, 2}, {1.0f, 5.0f, nan, 2.0f});
+  Tensor y = pool.forward(x, true);
+  EXPECT_TRUE(std::isnan(y.at(0)));
+  Tensor dx = pool.backward(Tensor({1, 1, 1, 1}, {3.0f}));
+  EXPECT_EQ(dx.at(2), 3.0f);
+  EXPECT_EQ(dx.at(1), 0.0f);
+}
+
+TEST(MaxPool1dTest, NanAndNegativeInfinityWindows) {
+  MaxPool1d pool(2);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Batch of two rows; window 0 of row 1 holds only -inf, window 1 a NaN
+  // after a finite value.
+  Tensor x({2, 1, 4}, {0.5f, 0.25f, 1.0f, 2.0f, -inf, -inf, 7.0f, nan});
+  Tensor y = pool.forward(x, true);
+  EXPECT_EQ(y.at(2), -inf);
+  EXPECT_TRUE(std::isnan(y.at(3)));
+  Tensor dx = pool.backward(Tensor({2, 1, 2}, {1.0f, 2.0f, 3.0f, 4.0f}));
+  EXPECT_EQ(dx.at(0), 1.0f);
+  EXPECT_EQ(dx.at(4), 3.0f);  // not dx[0], the first element of the batch
+  EXPECT_EQ(dx.at(7), 4.0f);
+  EXPECT_EQ(dx.at(6), 0.0f);
 }
 
 TEST(GlobalAvgPool2dTest, AveragesAndDistributes) {

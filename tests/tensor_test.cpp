@@ -5,6 +5,7 @@
 
 #include "tensor/tensor.h"
 #include "util/error.h"
+#include "util/memory_tracker.h"
 
 namespace dinar {
 namespace {
@@ -101,6 +102,25 @@ TEST(TensorTest, ReshapePreservesData) {
   Tensor r = t.reshaped({3, 2});
   EXPECT_EQ(r.at(2, 1), 6.0f);
   EXPECT_THROW(t.reshaped({4, 2}), Error);
+}
+
+TEST(TensorTest, ReshapeOfTemporaryMovesStorage) {
+  Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
+  const float* storage = t.data();
+  const std::uint64_t copied = MemoryTracker::instance().copied_bytes_total();
+  Tensor r = std::move(t).reshaped({3, 2});
+  EXPECT_EQ(r.data(), storage);
+  EXPECT_EQ(r.shape(), (Shape{3, 2}));
+  EXPECT_EQ(MemoryTracker::instance().copied_bytes_total(), copied);
+}
+
+TEST(TensorTest, ReshapeOfLvalueCopiesAndCountsTheCopy) {
+  const Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
+  const std::uint64_t copied = MemoryTracker::instance().copied_bytes_total();
+  Tensor r = t.reshaped({6});
+  EXPECT_NE(r.data(), t.data());
+  EXPECT_EQ(r.at(5), 6.0f);
+  EXPECT_EQ(MemoryTracker::instance().copied_bytes_total(), copied + 6 * sizeof(float));
 }
 
 TEST(TensorTest, FreeFunctions) {
